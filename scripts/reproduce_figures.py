@@ -33,9 +33,11 @@ def main() -> int:
     )
     took = time.perf_counter() - start
     verdict = "PASS" if report.passed else "FAIL"
+    errors = sum(1 for point in report.points if "error" in point)
     print(
         f"verify: {verdict}, max |analytic - oracle| = {report.max_abs_diff:.3e} "
-        f"over {len(report.points)} points  ({took:.1f}s)"
+        f"over {len(report.points) - errors} compared points, {errors} error points  "
+        f"({took:.1f}s)"
     )
     return 0 if report.passed else 1
 

@@ -99,27 +99,16 @@ def _check_physicality(rho: np.ndarray, stats: dict | None):
 
 def _evolve(params, rho, tau_span, config, stats, step_counter):
     """Advance rho by tau_span with full dt steps plus one shortened landing step."""
-    dim = rho.shape[0] // 2
-    H, C, Cdag, nvec = _cached_ops(params.k, dim)
-    gamma = params.gamma
-
-    def rhs(r):
-        d = -1j * (H @ r - r @ H)
-        if gamma:
-            d = d + gamma * (C @ r @ Cdag)
-            d = d - 0.5 * gamma * (nvec[:, None] * r + r * nvec[None, :])
-        return d
-
     n_full = int(np.floor(tau_span / config.dt + 1e-12))
     remainder = tau_span - n_full * config.dt
     sizes = [config.dt] * n_full
     if remainder > 1e-12:
         sizes.append(remainder)
     for h in sizes:
-        k1 = rhs(rho)
-        k2 = rhs(rho + (0.5 * h) * k1)
-        k3 = rhs(rho + (0.5 * h) * k2)
-        k4 = rhs(rho + h * k3)
+        k1 = lindblad_rhs(params, rho)
+        k2 = lindblad_rhs(params, rho + (0.5 * h) * k1)
+        k3 = lindblad_rhs(params, rho + (0.5 * h) * k2)
+        k4 = lindblad_rhs(params, rho + h * k3)
         rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         step_counter[0] += 1
         if step_counter[0] % _CHECK_INTERVAL == 0:
@@ -145,18 +134,14 @@ def integrate(
 ) -> np.ndarray:
     """RK4-evolve the joint density matrix from tau=0 to tau_end.
 
-    ``initial`` defaults to the split photon (with the configured theta at the
-    source) and the mirror in vacuum.  Physicality is checked every 100 steps
-    and once at the end; the result is symmetrized after asserting the
+    The single-snapshot case of :func:`integrate_snapshots`.  ``initial``
+    defaults to the split photon (with the configured theta at the source)
+    and the mirror in vacuum.  Physicality is checked every 100 steps and
+    once at the end; the result is symmetrized after asserting the
     Hermiticity drift is below 1e-9.  Pass a dict as ``stats`` to collect the
     worst trace drift, Hermiticity deviation and minimum eigenvalue seen.
     """
-    config = config or IntegratorConfig()
-    if tau_end < 0:
-        raise ValueError("tau_end must be non-negative")
-    rho = initial_joint_density(config.fock_dim, params.theta) if initial is None else np.asarray(initial, dtype=complex)
-    rho = _evolve(params, rho, tau_end, config, stats, [0])
-    return _finalize(rho, stats)
+    return integrate_snapshots(params, [tau_end], config, initial, stats)[0]
 
 
 def integrate_snapshots(
@@ -168,8 +153,8 @@ def integrate_snapshots(
 ) -> list[np.ndarray]:
     """States at each requested time, from a single forward pass.
 
-    ``taus`` must be non-decreasing and non-negative; each snapshot is
-    finalized like :func:`integrate`'s return value.
+    ``taus`` must be non-decreasing and non-negative.  Each snapshot is
+    symmetrized after its Hermiticity drift is asserted below 1e-9.
     """
     config = config or IntegratorConfig()
     taus = np.asarray(taus, dtype=float)
@@ -205,25 +190,23 @@ def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0
     return mirror, np.trace(mirror).real
 
 
-def _oracle_expectation(params, tau, config, observable_matrix):
-    config = config or IntegratorConfig()
-    rho = integrate(params, tau, config, initial=initial_joint_density(config.fock_dim))
-    mirror, prob = postselect_density(rho, theta=params.theta)
-    if prob < TRACE_FLOOR:
+def _oracle_point(params: ModelParams, tau: float, config: IntegratorConfig | None):
+    q, p, prob = oracle_sweep(params, [tau], config)
+    if prob[0] < TRACE_FLOOR:
         raise DegeneratePostselection("dark-port probability vanishes at this time")
-    return np.trace(mirror @ observable_matrix).real / prob
+    return q[0], p[0]
 
 
 def oracle_mean_q(params: ModelParams, tau: float, config: IntegratorConfig | None = None) -> float:
-    """Conditional <q>/sigma from the integrated master equation."""
-    config = config or IntegratorConfig()
-    return _oracle_expectation(params, tau, config, position_quadrature(config.fock_dim))
+    """Conditional <q>/sigma from the integrated master equation: a one-point
+    :func:`oracle_sweep` that raises where the dark port cannot fire."""
+    return _oracle_point(params, tau, config)[0]
 
 
 def oracle_mean_p(params: ModelParams, tau: float, config: IntegratorConfig | None = None) -> float:
-    """Conditional <p> 2 sigma/hbar from the integrated master equation."""
-    config = config or IntegratorConfig()
-    return _oracle_expectation(params, tau, config, momentum_quadrature(config.fock_dim))
+    """Conditional <p> 2 sigma/hbar from the integrated master equation: a
+    one-point :func:`oracle_sweep` that raises where the dark port cannot fire."""
+    return _oracle_point(params, tau, config)[1]
 
 
 def oracle_sweep(

@@ -125,7 +125,9 @@ def decoherence_factor(params: ModelParams, tau) -> float:
 
     whose oscillatory terms are complex conjugates, so the imaginary part
     of the sum is pure rounding noise.  A residue above 1e-9 signals a
-    transcription error and raises.
+    transcription error and raises.  At tau << 1 the bracket cancels to
+    O(tau^3) and rounding can leave it near -1e-19; it is clamped at 0, so
+    the success probability built from it stays non-negative.
     """
     tau = np.asarray(tau, dtype=float)
     gamma = params.gamma
@@ -143,7 +145,7 @@ def decoherence_factor(params: ModelParams, tau) -> float:
             f"decoherence factor has imaginary residue {residue:.3e}; "
             "the bracket terms are no longer conjugate"
         )
-    return np.real(d)
+    return np.maximum(np.real(d), 0.0)
 
 
 def conditioned_state(params: ModelParams, tau) -> ConditionedMirrorState:
@@ -174,27 +176,37 @@ def _require_live_postselection(success_prob):
         )
 
 
-def mean_q(params: ModelParams, tau) -> float:
-    """Conditional mirror displacement <q>/sigma after a dark-port click.
+def _conditioned_mean(params: ModelParams, tau):
+    """Real and imaginary parts of the conditioned mean <q> + i<p>.
 
-    Ratio of Tr(rho_os (c + c^dag)) to Tr(rho_os), rearranged so the
-    nearly-dark denominator is built from expm1/sin^2 without cancellation:
+    Ratio of Tr(rho_os (c + c^dag)) and Tr(rho_os (c - c^dag)/i) to
+    Tr(rho_os), rearranged so the nearly-dark denominator is built from
+    expm1/sin^2 without cancellation:
 
-        <q> = Re(varphi) + e^{-s} sin(phi_tot) Im(varphi) / (2 p_success).
+        <q> + i<p> = varphi [1 - i e^{-s} sin(phi_tot) / (2 p_success)],
+        s = |varphi|^2 / 2 + D,
+
+    with both parts evaluated as real expressions (the complex product
+    rounds differently in the last digit).
     """
     st = conditioned_state(params, tau)
     _require_live_postselection(st.success_prob)
     s = np.abs(st.varphi) ** 2 / 2 + st.decoherence
-    return np.real(st.varphi) + (
-        np.exp(-s) * np.sin(st.total_phase) * np.imag(st.varphi) / (2 * st.success_prob)
-    )
+    kick = np.exp(-s) * np.sin(st.total_phase)
+    q = np.real(st.varphi) + kick * np.imag(st.varphi) / (2 * st.success_prob)
+    p = np.imag(st.varphi) - kick * np.real(st.varphi) / (2 * st.success_prob)
+    return q, p
+
+
+def mean_q(params: ModelParams, tau) -> float:
+    """Conditional mirror displacement <q>/sigma after a dark-port click:
+    Re(varphi) + e^{-s} sin(phi_tot) Im(varphi) / (2 p_success)."""
+    return _conditioned_mean(params, tau)[0]
 
 
 def mean_p(params: ModelParams, tau) -> float:
-    """Conditional mirror momentum <p> * 2 sigma / hbar after a dark-port click.
-
-    Only derived without damping; call the master-equation oracle for
-    gamma > 0.
+    """Conditional mirror momentum <p> * 2 sigma / hbar after a dark-port click:
+    Im(varphi) - e^{-s} sin(phi_tot) Re(varphi) / (2 p_success), damped or not.
 
     Scale: away from tau = 2 n pi the Kerr phase is small against |varphi|
     and <p> ~ Im varphi - phi/k = k (2 sin tau - tau).  On [0, 4 pi] its
@@ -202,14 +214,7 @@ def mean_p(params: ModelParams, tau) -> float:
     exact maximum is 0.34 % lower at k = 0.005).  At the displacement
     extrema tau = 2 pi (1 +- k) the momentum is suppressed to about -pi k.
     """
-    if params.gamma != 0.0:
-        raise ValueError("mean_p is defined for gamma = 0 only; use the lindblad oracle")
-    st = conditioned_state(params, tau)
-    _require_live_postselection(st.success_prob)
-    s = np.abs(st.varphi) ** 2 / 2
-    return np.imag(st.varphi) - (
-        np.exp(-s) * np.sin(st.total_phase) * np.real(st.varphi) / (2 * st.success_prob)
-    )
+    return _conditioned_mean(params, tau)[1]
 
 
 def approx_state_coeffs(params: ModelParams, tau, n: int):

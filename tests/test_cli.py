@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from optoweak import lindblad
 from optoweak.cli import main
+from optoweak.lindblad import StepUnstable
 from optoweak.sweeps import CSV_HEADER, read_csv
 
 
@@ -42,6 +44,17 @@ class TestSweepCommand:
         q_analytic = read_csv(out)["q_over_sigma"]
         q_oracle = read_csv(companion)["q_over_sigma"]
         assert np.nanmax(np.abs(q_analytic - q_oracle)) < 1e-6
+
+    def test_damped_momentum_against_oracle(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = run_cli(["sweep", "--gamma", 0.005, "--theta", 0.001, "--tau-end", 0.5,
+                        "--steps", 3, "--observable", "both", "--engine", "both",
+                        "--dt", 0.005, "--out", out])
+        assert code == 0
+        p_analytic = read_csv(out)["p_dimensionless"]
+        p_oracle = read_csv(tmp_path / "s.oracle.csv")["p_dimensionless"]
+        assert np.isfinite(p_analytic).all()
+        assert np.max(np.abs(p_analytic - p_oracle)) < 1e-5
 
     def test_optional_plot(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -99,7 +112,9 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         code = run_cli(["verify", "--dt", 0.01, "--tolerance", 1e-5, "--out", out])
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "PASS" in printed
+        assert "over 596 compared points, 0 error points" in printed
         payload = json.loads(out.read_text())
         assert payload["pass"] is True
         assert payload["max_abs_diff"] < 1e-5
@@ -110,6 +125,17 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
         assert json.loads(out.read_text())["pass"] is False
+
+    def test_error_points_counted_apart(self, tmp_path, capsys, monkeypatch):
+        def unstable(*args, **kwargs):
+            raise StepUnstable("trace drifted")
+
+        monkeypatch.setattr(lindblad, "oracle_sweep", unstable)
+        code = run_cli(["verify", "--out", tmp_path / "report.json"])
+        assert code == 1
+        printed = capsys.readouterr().out
+        assert "FAIL" in printed
+        assert "over 0 compared points, 6 error points" in printed
 
 
 def test_module_invocation(tmp_path):

@@ -228,6 +228,8 @@ class TestOracleObservables:
     def test_momentum_equivalence_undamped(self):
         p = ModelParams(k=K, theta=0.001)
         assert oracle_mean_p(p, 2.3) == pytest.approx(float(mean_p(p, 2.3)), abs=1e-6)
+        damped = ModelParams(k=K, gamma=0.005, theta=0.001)
+        assert oracle_mean_p(damped, 2.3) == pytest.approx(float(mean_p(damped, 2.3)), abs=1e-6)
 
     def test_displacement_extremum_equivalence(self):
         p = ModelParams(k=K)
@@ -240,10 +242,11 @@ class TestOracleObservables:
 
     def test_stronger_coupling_and_damping_long_times(self):
         p = ModelParams(k=0.01, gamma=0.01, theta=0.001)
-        q, _, prob = oracle_sweep(p, [6.2, 19.0], IntegratorConfig(dt=1e-3, fock_dim=16))
-        expected = mean_q(p, np.array([6.2, 19.0]))
+        taus = np.array([6.2, 19.0])
+        q, pmom, prob = oracle_sweep(p, taus, IntegratorConfig(dt=1e-3, fock_dim=16))
         assert np.all(prob > 1e-12)
-        assert np.max(np.abs(q - expected)) < 1e-5
+        assert np.max(np.abs(q - mean_q(p, taus))) < 1e-5
+        assert np.max(np.abs(pmom - mean_p(p, taus))) < 1e-5
 
     def test_sweep_marks_degenerate_points(self):
         q, pmom, prob = oracle_sweep(ModelParams(k=K), [0.0, 1.0],

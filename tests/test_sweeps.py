@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from optoweak import lindblad
 from optoweak.fockspace import WignerGrid
-from optoweak.lindblad import IntegratorConfig
+from optoweak.lindblad import IntegratorConfig, StepUnstable
 from optoweak.model import ModelParams
 from optoweak.sweeps import (
     CSV_HEADER,
@@ -72,15 +73,12 @@ class TestRunSweep:
         assert r.success_prob[0] == 0.0
         assert np.isfinite(r.q[1:]).all()
 
-    def test_momentum_needs_undamped_params(self):
-        cfg = tiny_config(params=ModelParams(k=K, gamma=0.005), observable="p")
-        with pytest.raises(ValueError):
-            run_sweep(cfg)
-
-    def test_oracle_engine_agrees_with_analytic(self):
-        cfg = tiny_config(engine="oracle", observable="both")
+    @pytest.mark.parametrize("gamma", [0.0, 0.005])
+    def test_oracle_engine_agrees_with_analytic(self, gamma):
+        params = ModelParams(k=K, gamma=gamma, theta=0.001)
+        cfg = tiny_config(params=params, engine="oracle", observable="both")
         oracle = run_sweep(cfg, IntegratorConfig(dt=2e-3, fock_dim=12))
-        analytic = run_sweep(tiny_config(observable="both"))
+        analytic = run_sweep(tiny_config(params=params, observable="both"))
         assert np.nanmax(np.abs(oracle.q - analytic.q)) < 1e-6
         assert np.nanmax(np.abs(oracle.p - analytic.p)) < 1e-6
 
@@ -207,8 +205,8 @@ class TestFigures:
 class TestVerify:
     def test_default_grid_composition(self):
         grid = default_verify_grid()
-        assert len(grid) == 9
-        assert sum(1 for _, obs in grid if obs == "p") == 3
+        assert len(grid) == 12
+        assert sum(1 for _, obs in grid if obs == "p") == 6
 
     def test_small_grid_passes(self, tmp_path):
         report = verify(
@@ -250,7 +248,11 @@ class TestVerify:
         b = verify(out=tmp_path / "b.json", **kwargs)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_engine_errors_recorded_per_point(self):
+    def test_engine_errors_recorded_per_point(self, monkeypatch):
+        def unstable(*args, **kwargs):
+            raise StepUnstable("trace drifted")
+
+        monkeypatch.setattr(lindblad, "oracle_sweep", unstable)
         report = verify(
             grid=[(ModelParams(k=K, gamma=0.005), "p"),
                   (ModelParams(k=K, gamma=0.005), "q")],
@@ -258,8 +260,34 @@ class TestVerify:
             config=IntegratorConfig(dt=5e-3, fock_dim=12),
             taus=np.linspace(0.5, 1.0, 2),
         )
-        errors = [pt for pt in report.points if "error" in pt]
-        values = [pt for pt in report.points if "abs_diff" in pt]
-        assert len(errors) == 1 and errors[0]["observable"] == "p"
-        assert len(values) == 2
-        assert report.passed
+        assert report.points == [{"k": K, "gamma": 0.005, "theta": 0.0,
+                                  "observable": "p/q", "error": "trace drifted"}]
+        assert report.max_abs_diff == 0.0
+        assert not report.passed
+
+    def test_nan_oracle_value_fails(self, monkeypatch):
+        oracle_sweep = lindblad.oracle_sweep
+
+        def nan_positions(*args, **kwargs):
+            q, p, prob = oracle_sweep(*args, **kwargs)
+            return np.full_like(q, np.nan), p, prob
+
+        monkeypatch.setattr(lindblad, "oracle_sweep", nan_positions)
+        report = verify(
+            grid=[(ModelParams(k=K, theta=0.001), "q")],
+            config=IntegratorConfig(dt=5e-3, fock_dim=12),
+            taus=np.linspace(0.5, 1.0, 3),
+        )
+        assert len(report.points) == 3
+        assert np.isnan(report.max_abs_diff)
+        assert not report.passed
+
+    @pytest.mark.parametrize("grid, taus", [
+        ([], None),
+        # theta = 0 and tau = 0: the dark port cannot fire at any point
+        ([(ModelParams(k=K), "q"), (ModelParams(k=K, gamma=0.005), "p")], [0.0]),
+    ], ids=["empty-grid", "all-degenerate"])
+    def test_nothing_compared_fails(self, grid, taus):
+        report = verify(grid=grid, config=IntegratorConfig(dt=5e-3, fock_dim=12), taus=taus)
+        assert report.points == []
+        assert not report.passed
