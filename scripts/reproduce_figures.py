@@ -11,7 +11,6 @@ import sys
 import time
 from pathlib import Path
 
-from optoweak.lindblad import IntegratorConfig
 from optoweak.sweeps import FIGURE_NAMES, figure, verify
 
 
@@ -26,11 +25,7 @@ def main() -> int:
         print(f"{name}: {', '.join(p.name for p in paths)}  ({took:.2f}s)")
 
     start = time.perf_counter()
-    report = verify(
-        tolerance=1e-5,
-        config=IntegratorConfig(dt=1e-3, fock_dim=16),
-        out=out_dir / "verify_report.json",
-    )
+    report = verify(out=out_dir / "verify_report.json")
     took = time.perf_counter() - start
     verdict = "PASS" if report.passed else "FAIL"
     errors = sum(1 for point in report.points if "error" in point)

@@ -15,6 +15,7 @@ from .model import (
     approx_state_coeffs,
     coherent_amplitude,
     coherence_phase,
+    conditioned_moments,
     conditioned_state,
     decoherence_factor,
     free_mirror_displacement,
@@ -44,6 +45,7 @@ __all__ = [
     "approx_state_coeffs",
     "coherence_phase",
     "coherent_amplitude",
+    "conditioned_moments",
     "conditioned_state",
     "decoherence_factor",
     "figure",

@@ -12,11 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fockspace, lindblad, model, sweeps
-
-_WIGNER_STATES = ("vacuum", "one-phonon", "minus-superposition", "plus-superposition")
 
 _DEFAULTS = {
     "sweep": {
@@ -32,7 +28,7 @@ _DEFAULTS = {
         "fock_dim": 16,
     },
     "verify": {
-        "tolerance": 1e-5, "dt": lindblad.IntegratorConfig.dt,
+        "tolerance": sweeps.VERIFY_TOLERANCE, "dt": lindblad.IntegratorConfig.dt,
         "fock_dim": lindblad.IntegratorConfig.fock_dim, "out": "verify_report.json",
     },
 }
@@ -72,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--out-dir", dest="out_dir")
 
     wp = sub.add_parser("wigner", help="render a phase-space quasi-probability heatmap")
-    wp.add_argument("--state", choices=list(_WIGNER_STATES))
+    wp.add_argument("--state", choices=list(fockspace.NAMED_STATES))
     wp.add_argument("--x-range", dest="x_range", help="A:B:N")
     wp.add_argument("--y-range", dest="y_range", help="A:B:N")
     wp.add_argument("--fock-dim", dest="fock_dim", type=int)
@@ -105,18 +101,6 @@ def _effective_options(args: argparse.Namespace) -> dict:
             continue
         options[key] = value
     return options
-
-
-def _wigner_state(name: str, dim: int) -> np.ndarray:
-    state = np.zeros(dim, dtype=complex)
-    if name == "vacuum":
-        state[0] = 1.0
-    elif name == "one-phonon":
-        state[1] = 1.0
-    else:
-        sign = -1.0 if name == "minus-superposition" else 1.0
-        state[0], state[1] = 1 / np.sqrt(2), sign / np.sqrt(2)
-    return state
 
 
 def _cmd_sweep(opts: dict) -> int:
@@ -152,7 +136,7 @@ def _cmd_figure(opts: dict, name: str) -> int:
 
 
 def _cmd_wigner(opts: dict) -> int:
-    state = _wigner_state(opts["state"], opts["fock_dim"])
+    state = fockspace.named_state(opts["state"], opts["fock_dim"])
     grid = fockspace.wigner(state, _parse_range(opts["x_range"]), _parse_range(opts["y_range"]))
     path = sweeps.svg_heatmap(grid, opts["out"], title=f"Wigner function, {opts['state']}")
     print(f"wrote {path}")

@@ -18,6 +18,8 @@ from .model import ModelParams, kerr_phase, coherent_amplitude
 _TOP_LEVEL_POPULATION_LIMIT = 1e-12
 _NORM_DRIFT_LIMIT = 1e-8
 
+NAMED_STATES = ("vacuum", "one-phonon", "minus-superposition", "plus-superposition")
+
 
 class TruncationInadequate(Exception):
     """The Fock cutoff is too small for the requested state or operation."""
@@ -63,6 +65,21 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
             f"coherent state |alpha|={abs(alpha):.3g} loses {deficit:.2e} of its norm at dim={dim}"
         )
     return amps
+
+
+def named_state(name: str, dim: int) -> np.ndarray:
+    """Mirror ket |0>, |1> or (|0> -+ |1>)/sqrt(2), by its name in NAMED_STATES."""
+    if name not in NAMED_STATES:
+        raise ValueError(f"unknown state {name!r}; choose from {NAMED_STATES}")
+    state = np.zeros(dim, dtype=complex)
+    if name == "vacuum":
+        state[0] = 1.0
+    elif name == "one-phonon":
+        state[1] = 1.0
+    else:
+        sign = -1.0 if name == "minus-superposition" else 1.0
+        state[0], state[1] = 1 / np.sqrt(2), sign / np.sqrt(2)
+    return state
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:

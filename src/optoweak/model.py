@@ -169,15 +169,9 @@ def conditioned_state(params: ModelParams, tau) -> ConditionedMirrorState:
     )
 
 
-def _require_live_postselection(success_prob):
-    if np.min(success_prob) < TRACE_FLOOR:
-        raise DegeneratePostselection(
-            "dark-port probability vanishes; conditional expectation undefined"
-        )
-
-
-def _conditioned_mean(params: ModelParams, tau):
-    """Real and imaginary parts of the conditioned mean <q> + i<p>.
+def conditioned_moments(params: ModelParams, tau):
+    """Conditioned moments (<q>, <p>) and the dark-port probability, from one
+    evaluation of the conditioned state.
 
     Ratio of Tr(rho_os (c + c^dag)) and Tr(rho_os (c - c^dag)/i) to
     Tr(rho_os), rearranged so the nearly-dark denominator is built from
@@ -187,21 +181,33 @@ def _conditioned_mean(params: ModelParams, tau):
         s = |varphi|^2 / 2 + D,
 
     with both parts evaluated as real expressions (the complex product
-    rounds differently in the last digit).
+    rounds differently in the last digit).  Where p_success is exactly 0
+    the moments are NaN, without a warning; callers decide which small
+    probabilities still count as degenerate.  Returns (q, p, success_prob).
     """
     st = conditioned_state(params, tau)
-    _require_live_postselection(st.success_prob)
+    prob = st.success_prob
     s = np.abs(st.varphi) ** 2 / 2 + st.decoherence
     kick = np.exp(-s) * np.sin(st.total_phase)
-    q = np.real(st.varphi) + kick * np.imag(st.varphi) / (2 * st.success_prob)
-    p = np.imag(st.varphi) - kick * np.real(st.varphi) / (2 * st.success_prob)
-    return q, p
+    denom = np.where(prob > 0, 2 * prob, np.nan)
+    q = np.real(st.varphi) + kick * np.imag(st.varphi) / denom
+    p = np.imag(st.varphi) - kick * np.real(st.varphi) / denom
+    return q, p, prob
+
+
+def _live_moment(params: ModelParams, tau, index: int):
+    moments = conditioned_moments(params, tau)
+    if np.min(moments[2]) < TRACE_FLOOR:
+        raise DegeneratePostselection(
+            "dark-port probability vanishes; conditional expectation undefined"
+        )
+    return moments[index]
 
 
 def mean_q(params: ModelParams, tau) -> float:
     """Conditional mirror displacement <q>/sigma after a dark-port click:
     Re(varphi) + e^{-s} sin(phi_tot) Im(varphi) / (2 p_success)."""
-    return _conditioned_mean(params, tau)[0]
+    return _live_moment(params, tau, 0)
 
 
 def mean_p(params: ModelParams, tau) -> float:
@@ -214,7 +220,7 @@ def mean_p(params: ModelParams, tau) -> float:
     exact maximum is 0.34 % lower at k = 0.005).  At the displacement
     extrema tau = 2 pi (1 +- k) the momentum is suppressed to about -pi k.
     """
-    return _conditioned_mean(params, tau)[1]
+    return _live_moment(params, tau, 1)
 
 
 def approx_state_coeffs(params: ModelParams, tau, n: int):

@@ -1,10 +1,12 @@
 """Parameter sweeps, figure presets, CSV/SVG emission and the
 analytic-vs-oracle verification harness.
 
-Analytic sweeps evaluate the closed forms vectorized over the whole tau
-grid; oracle sweeps take snapshots from a single master-equation pass.
-Points where the dark port cannot fire (success probability below
-``SUCCESS_FLOOR``) carry empty observable fields rather than errors.
+Each engine yields (q, p, success_prob) over the whole tau grid from one
+evaluation: the closed forms in one vectorized call, the oracle from
+snapshots of a single master-equation pass.  Both engines share
+``SUCCESS_FLOOR``: points where the dark port cannot fire (success
+probability at or below it) carry empty observable fields rather than
+errors.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from . import fockspace, lindblad, model
 
 SUCCESS_FLOOR = 1e-12
+VERIFY_TOLERANCE = 1e-5
 
 # parameters of the reproduced reference curves
 FIG_COUPLING = 0.005
@@ -70,33 +73,20 @@ class SweepResult:
     oracle_companion: "SweepResult | None" = field(default=None, repr=False)
 
 
-def _analytic_sweep(config: SweepConfig) -> SweepResult:
-    params = config.params
+def _sweep(config: SweepConfig, engine: str,
+           integrator: lindblad.IntegratorConfig | None = None) -> SweepResult:
     taus = config.taus()
-    success = np.asarray(model.conditioned_state(params, taus).success_prob)
-    live = success > SUCCESS_FLOOR
-    q = p = None
-    if config.observable in ("q", "both"):
-        q = np.full_like(taus, np.nan)
-        if live.any():
-            q[live] = model.mean_q(params, taus[live])
-    if config.observable in ("p", "both"):
-        p = np.full_like(taus, np.nan)
-        if live.any():
-            p[live] = model.mean_p(params, taus[live])
-    return SweepResult(tau=taus, success_prob=success, q=q, p=p, engine="analytic")
-
-
-def _oracle_sweep(config: SweepConfig, integrator: lindblad.IntegratorConfig | None,
-                  stats: dict | None = None) -> SweepResult:
-    taus = config.taus()
-    q, p, prob = lindblad.oracle_sweep(config.params, taus, integrator, stats=stats)
+    if engine == "analytic":
+        q, p, prob = model.conditioned_moments(config.params, taus)
+    else:
+        q, p, prob = lindblad.oracle_sweep(config.params, taus, integrator)
+    live = prob > SUCCESS_FLOOR
     return SweepResult(
         tau=taus,
         success_prob=prob,
-        q=q if config.observable in ("q", "both") else None,
-        p=p if config.observable in ("p", "both") else None,
-        engine="oracle",
+        q=np.where(live, q, np.nan) if config.observable in ("q", "both") else None,
+        p=np.where(live, p, np.nan) if config.observable in ("p", "both") else None,
+        engine=engine,
     )
 
 
@@ -107,12 +97,10 @@ def run_sweep(config: SweepConfig,
     With engine="both" the analytic result is returned and the oracle's
     columns are attached as ``oracle_companion``.
     """
-    if config.engine == "analytic":
-        return _analytic_sweep(config)
-    if config.engine == "oracle":
-        return _oracle_sweep(config, integrator)
-    result = _analytic_sweep(config)
-    result.oracle_companion = _oracle_sweep(config, integrator)
+    if config.engine != "both":
+        return _sweep(config, config.engine, integrator)
+    result = _sweep(config, "analytic")
+    result.oracle_companion = _sweep(config, "oracle", integrator)
     return result
 
 
@@ -188,7 +176,7 @@ def svg_heatmap(grid: fockspace.WignerGrid, path, title: str = "") -> Path:
 
 def _figure_sweep(theta: float, gamma: float, observable: str) -> SweepResult:
     params = model.ModelParams(k=FIG_COUPLING, gamma=gamma, theta=theta)
-    return _analytic_sweep(SweepConfig(params=params, observable=observable))
+    return _sweep(SweepConfig(params=params, observable=observable), "analytic")
 
 
 def _emit_wigner_csv(grid: fockspace.WignerGrid, path) -> Path:
@@ -213,8 +201,7 @@ def figure(name: str, out_dir) -> list[Path]:
     written: list[Path] = []
 
     if name == "fig3":
-        state = np.zeros(16, dtype=complex)
-        state[0], state[1] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        state = fockspace.named_state("minus-superposition", 16)
         grid = fockspace.wigner(state, FIG3_RANGE, FIG3_RANGE)
         written.append(_emit_wigner_csv(grid, out / "fig3.csv"))
         written.append(svg_heatmap(grid, out / "fig3.svg", title="Wigner function, (|0&#10217;-|1&#10217;)/&#8730;2"))
@@ -278,7 +265,7 @@ def default_verify_grid() -> list[tuple[model.ModelParams, str]]:
 
 def verify(
     grid: list[tuple[model.ModelParams, str]] | None = None,
-    tolerance: float = 1e-5,
+    tolerance: float = VERIFY_TOLERANCE,
     config: lindblad.IntegratorConfig | None = None,
     out=None,
     taus=None,
@@ -305,19 +292,17 @@ def verify(
     for params, observables in by_params.items():
         base = {"k": params.k, "gamma": params.gamma, "theta": params.theta}
         try:
-            oq, op, oprob = lindblad.oracle_sweep(params, taus, config, stats=stats)
-            success = np.asarray(model.conditioned_state(params, taus).success_prob)
+            oracle = lindblad.oracle_sweep(params, taus, config, stats=stats)
+            analytic = model.conditioned_moments(params, taus)
         except Exception as exc:  # recorded, not fatal
             points.append({**base, "observable": "/".join(observables), "error": str(exc)})
             errors += 1
             continue
-        live = success > SUCCESS_FLOOR
-        if not live.any():
-            continue
-        for obs, mean, o_vals in (("q", model.mean_q, oq), ("p", model.mean_p, op)):
+        live = analytic[2] > SUCCESS_FLOOR
+        for obs, a_vals, o_vals in zip("qp", analytic, oracle):
             if obs not in observables:
                 continue
-            for tau, a, o in zip(taus[live], mean(params, taus[live]), o_vals[live]):
+            for tau, a, o in zip(taus[live], a_vals[live], o_vals[live]):
                 diff = abs(a - o)
                 diffs.append(diff)
                 points.append(

@@ -22,6 +22,7 @@ from optoweak.fockspace import (
     fidelity,
     initial_joint_state,
     momentum_quadrature,
+    named_state,
     parity_matrix,
     position_quadrature,
     postselect_pure,
@@ -290,6 +291,24 @@ def minus_state(dim=16):
     v = np.zeros(dim, complex)
     v[0], v[1] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     return v
+
+
+class TestNamedState:
+    AMPLITUDES = {
+        "vacuum": [1, 0],
+        "one-phonon": [0, 1],
+        "minus-superposition": [1 / np.sqrt(2), -1 / np.sqrt(2)],
+        "plus-superposition": [1 / np.sqrt(2), 1 / np.sqrt(2)],
+    }
+
+    @pytest.mark.parametrize("name", list(AMPLITUDES))
+    def test_amplitudes(self, name):
+        expected = np.array(self.AMPLITUDES[name] + [0] * 4, complex)
+        assert np.array_equal(named_state(name, 6), expected)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown state"):
+            named_state("cat", 6)
 
 
 class TestWigner:

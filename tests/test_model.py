@@ -1,6 +1,8 @@
 """Closed-form observables against hand values, high-precision transcriptions
 and their stated invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from optoweak.model import (
     approx_state_coeffs,
     coherence_phase,
     coherent_amplitude,
+    conditioned_moments,
     conditioned_state,
     decoherence_factor,
     free_mirror_displacement,
@@ -172,6 +175,24 @@ class TestConditionedState:
     def test_success_prob_is_a_probability(self, k, gamma, theta, tau):
         s = conditioned_state(ModelParams(k=k, gamma=gamma, theta=theta), tau).success_prob
         assert 0.0 <= s <= 1.0
+
+
+class TestConditionedMoments:
+    def test_views_share_one_evaluation(self):
+        p = ModelParams(k=K, gamma=0.005, theta=0.001)
+        grid = np.linspace(0.0, 4 * np.pi, 101)
+        q, mom, prob = conditioned_moments(p, grid)
+        assert np.array_equal(q, mean_q(p, grid))
+        assert np.array_equal(mom, mean_p(p, grid))
+        assert np.array_equal(prob, conditioned_state(p, grid).success_prob)
+
+    def test_nan_where_the_dark_port_cannot_fire(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, p, prob = conditioned_moments(ModelParams(k=K), np.array([0.0, 1.0]))
+        assert prob[0] == 0.0
+        assert np.isnan(q[0]) and np.isnan(p[0])
+        assert np.isfinite(q[1]) and np.isfinite(p[1])
 
 
 class TestMeanQ:

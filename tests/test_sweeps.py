@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from optoweak import lindblad
+from optoweak import lindblad, model
 from optoweak.fockspace import WignerGrid
 from optoweak.lindblad import IntegratorConfig, StepUnstable
 from optoweak.model import ModelParams
 from optoweak.sweeps import (
     CSV_HEADER,
+    SUCCESS_FLOOR,
     SweepConfig,
     default_verify_grid,
     emit_csv,
@@ -37,6 +38,18 @@ def tiny_config(**kw):
     )
     defaults.update(kw)
     return SweepConfig(**defaults)
+
+
+def count_conditioned_state_calls(monkeypatch) -> list:
+    calls = []
+    conditioned_state = model.conditioned_state
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return conditioned_state(*args, **kwargs)
+
+    monkeypatch.setattr(model, "conditioned_state", counted)
+    return calls
 
 
 class TestSweepConfig:
@@ -67,11 +80,19 @@ class TestRunSweep:
         assert np.all(np.isfinite(r.q))
         assert np.all((r.success_prob >= 0) & (r.success_prob <= 1))
 
-    def test_degenerate_points_are_empty_not_errors(self):
-        r = run_sweep(tiny_config(params=ModelParams(k=K)))
-        assert np.isnan(r.q[0])          # dark port silent at tau=0
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_degenerate_points_are_empty_not_errors(self, engine):
+        # theta = 0: the dark port is silent at tau = 0 and fires with
+        # probability ~1e-14 at the two later points
+        cfg = tiny_config(params=ModelParams(k=K), tau_end=1e-4, engine=engine,
+                          observable="both")
+        r = run_sweep(cfg, IntegratorConfig(dt=5e-3, fock_dim=12))
         assert r.success_prob[0] == 0.0
-        assert np.isfinite(r.q[1:]).all()
+        assert (r.success_prob[1:] > 0).all()
+        dead = r.success_prob <= SUCCESS_FLOOR
+        assert dead.all()
+        assert np.array_equal(np.isnan(r.q), dead)
+        assert np.array_equal(np.isnan(r.p), dead)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.005])
     def test_oracle_engine_agrees_with_analytic(self, gamma):
@@ -81,6 +102,12 @@ class TestRunSweep:
         analytic = run_sweep(tiny_config(params=params, observable="both"))
         assert np.nanmax(np.abs(oracle.q - analytic.q)) < 1e-6
         assert np.nanmax(np.abs(oracle.p - analytic.p)) < 1e-6
+
+    def test_one_analytic_evaluation_per_sweep(self, monkeypatch):
+        calls = count_conditioned_state_calls(monkeypatch)
+        r = run_sweep(tiny_config(observable="both"))
+        assert len(calls) == 1
+        assert np.isfinite(r.q).all() and np.isfinite(r.p).all()
 
     def test_both_engines_attach_companion(self):
         r = run_sweep(tiny_config(engine="both"), IntegratorConfig(dt=5e-3, fock_dim=12))
@@ -226,6 +253,18 @@ class TestVerify:
                 "abs_diff"} <= set(point)
         # tau=0 is degenerate for theta=0 and must be absent, not an error
         assert len(payload["points"]) == 8
+
+    def test_one_analytic_evaluation_per_parameter_set(self, monkeypatch):
+        calls = count_conditioned_state_calls(monkeypatch)
+        undamped, damped = ModelParams(k=K, theta=0.001), ModelParams(k=K, gamma=0.005)
+        report = verify(
+            grid=[(undamped, "q"), (undamped, "p"), (damped, "p"), (damped, "q")],
+            config=IntegratorConfig(dt=5e-3, fock_dim=12),
+            taus=np.linspace(0.5, 1.0, 2),
+        )
+        assert report.passed
+        assert len(report.points) == 8
+        assert [args[0] for args in calls] == [undamped, damped]
 
     def test_zero_tolerance_fails(self):
         report = verify(
