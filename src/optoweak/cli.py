@@ -2,7 +2,8 @@
 analytic-vs-oracle verification report.
 
 Every option can also come from a JSON config file (``--config``); values
-given as flags override the file.
+given as flags override the file.  Invalid input ends in a one-line usage
+error with exit status 2.
 """
 
 from __future__ import annotations
@@ -14,18 +15,20 @@ from pathlib import Path
 
 from . import fockspace, lindblad, model, sweeps
 
+_FIG3_RANGE = "{:g}:{:g}:{}".format(*sweeps.FIG3_RANGE)
 _DEFAULTS = {
     "sweep": {
-        "k": sweeps.FIG_COUPLING, "gamma": 0.0, "theta": 0.0, "tau_start": 0.0,
-        "tau_end": sweeps.FIG_TAU_MAX, "steps": sweeps.FIG_STEPS, "observable": "q",
-        "engine": "analytic", "dt": lindblad.IntegratorConfig.dt,
-        "fock_dim": lindblad.IntegratorConfig.fock_dim, "out": "sweep.csv", "plot": None,
+        "k": sweeps.FIG_COUPLING, "gamma": model.ModelParams.gamma,
+        "theta": model.ModelParams.theta, "tau_start": sweeps.SweepConfig.tau_start,
+        "tau_end": sweeps.SweepConfig.tau_end, "steps": sweeps.SweepConfig.steps,
+        "observable": sweeps.SweepConfig.observable, "engine": sweeps.SweepConfig.engine,
+        "dt": lindblad.IntegratorConfig.dt, "fock_dim": lindblad.IntegratorConfig.fock_dim,
+        "out": "sweep.csv", "plot": None,
     },
     "figure": {"out_dir": "."},
     "wigner": {
-        "state": "minus-superposition",
-        "x_range": "-4:4:201", "y_range": "-4:4:201", "out": "wigner.svg",
-        "fock_dim": 16,
+        "state": sweeps.FIG3_STATE, "x_range": _FIG3_RANGE, "y_range": _FIG3_RANGE,
+        "out": "wigner.svg", "fock_dim": sweeps.FIG3_FOCK_DIM,
     },
     "verify": {
         "tolerance": sweeps.VERIFY_TOLERANCE, "dt": lindblad.IntegratorConfig.dt,
@@ -39,7 +42,7 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         lo, hi, n = text.split(":")
         return float(lo), float(hi), int(n)
     except ValueError as exc:
-        raise SystemExit(f"bad range {text!r}; expected A:B:N") from exc
+        raise ValueError(f"bad range {text!r}; expected A:B:N") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,11 +93,11 @@ def _effective_options(args: argparse.Namespace) -> dict:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise SystemExit(f"cannot read config {args.config}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         unknown = set(loaded) - set(options)
         if unknown:
-            raise SystemExit(f"unknown config keys for {args.command}: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         options.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
@@ -158,15 +161,19 @@ def _cmd_verify(opts: dict) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    opts = _effective_options(args)
-    if args.command == "sweep":
-        return _cmd_sweep(opts)
-    if args.command == "figure":
-        return _cmd_figure(opts, args.name)
-    if args.command == "wigner":
-        return _cmd_wigner(opts)
-    return _cmd_verify(opts)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        opts = _effective_options(args)
+        if args.command == "sweep":
+            return _cmd_sweep(opts)
+        if args.command == "figure":
+            return _cmd_figure(opts, args.name)
+        if args.command == "wigner":
+            return _cmd_wigner(opts)
+        return _cmd_verify(opts)
+    except ValueError as exc:  # every ValueError raised here reports bad input
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -35,15 +35,12 @@ class IntegratorConfig:
 
     dt: float = 1e-3
     fock_dim: int = 16
-    method: str = "rk4"
 
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.01):
             raise ValueError(f"dt={self.dt} outside (0, 0.01]")
         if self.fock_dim < 8:
             raise ValueError(f"fock_dim={self.fock_dim} below the minimum of 8")
-        if self.method != "rk4":
-            raise ValueError(f"unknown integration method {self.method!r}")
 
 
 def build_hamiltonian(params: ModelParams, dim: int) -> np.ndarray:

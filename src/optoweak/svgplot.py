@@ -15,10 +15,23 @@ _POS_COLOR = (178, 24, 43)    # strong red
 _NEG_COLOR = (33, 102, 172)   # strong blue
 _WIDTH, _HEIGHT = 660, 460
 _ML, _MR, _MT, _MB = 78, 24, 28, 56
+_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+    f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+    f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#fff"/>'
+)
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+def _write_svg(body: list[str], path) -> Path:
+    """Write ``body`` elements between the document head and ``</svg>``."""
+    path = Path(path)
+    path.write_text("\n".join([_HEAD, *body, "</svg>"]) + "\n", encoding="utf-8")
+    return path
 
 
 def _finite(values):
@@ -102,12 +115,7 @@ def line_plot(series, path, xlabel: str = "", ylabel: str = "", title: str = "")
             _MT + (1 - (y - y0) / (y1 - y0)) * plot_h,
         )
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#fff"/>',
-    ]
+    parts: list[str] = []
     _frame(parts, x0, x1, y0, y1, xlabel, ylabel, title, plot_w, plot_h)
 
     for i, (xs, ys, label, dashed) in enumerate(series):
@@ -141,10 +149,7 @@ def line_plot(series, path, xlabel: str = "", ylabel: str = "", title: str = "")
         )
         parts.append(f'<text x="{lx + 32}" y="{ly}" font-size="12">{label}</text>')
 
-    parts.append("</svg>")
-    path = Path(path)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    return path
+    return _write_svg(parts, path)
 
 
 def _diverging_color(v: float, vmax: float) -> str:
@@ -165,24 +170,15 @@ def heatmap(values, xs, ys, path, xlabel: str = "", ylabel: str = "", title: str
     vmax = max(abs(v) for row in values for v in row)
     plot_w = _WIDTH - _ML - _MR - 60  # reserve room for the colorbar
     plot_h = _HEIGHT - _MT - _MB
-    cell_w = plot_w / nx
-    cell_h = plot_h / ny
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#fff"/>',
-    ]
+    px = [_fmt(_ML + ix / nx * plot_w) for ix in range(nx)]
+    size = f'width="{_fmt(plot_w / nx + 0.5)}" height="{_fmt(plot_h / ny + 0.5)}"'
+    parts: list[str] = []
     for iy in range(ny):
-        py = _MT + (1 - (iy + 1) / ny) * plot_h
-        for ix in range(nx):
-            px = _ML + ix / nx * plot_w
-            color = _diverging_color(values[iy][ix], vmax)
-            parts.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{color}"/>'
-            )
+        py = _fmt(_MT + (1 - (iy + 1) / ny) * plot_h)
+        parts += [
+            f'<rect x="{x}" y="{py}" {size} fill="{_diverging_color(v, vmax)}"/>'
+            for x, v in zip(px, values[iy])
+        ]
     _frame(parts, x0, x1, y0, y1, xlabel, ylabel, title, plot_w, plot_h)
 
     bar_x = _ML + plot_w + 18
@@ -200,7 +196,4 @@ def heatmap(values, xs, ys, path, xlabel: str = "", ylabel: str = "", title: str
         parts.append(
             f'<text x="{bar_x + 20}" y="{_fmt(py + 4)}" font-size="11">{_fmt(v)}</text>'
         )
-    parts.append("</svg>")
-    path = Path(path)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    return path
+    return _write_svg(parts, path)

@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,8 @@ FIG_SHIFTER = 0.001
 FIG_TAU_MAX = 8 * np.pi
 FIG_STEPS = 4000
 FIG3_RANGE = (-4.0, 4.0, 201)
+FIG3_STATE = "minus-superposition"
+FIG3_FOCK_DIM = 16
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5a", "fig5b")
 
@@ -104,32 +107,31 @@ def run_sweep(config: SweepConfig,
     return result
 
 
-def _cell(value) -> str:
-    if value is None or not np.isfinite(value):
-        return ""
-    return f"{value:.17g}"
+def _write_csv(path, header: str, columns) -> Path:
+    """Write equal-length ``columns`` as rows under ``header``.
+
+    Numbers carry 17 significant digits; a None column or a non-finite
+    value gives empty fields; output is byte-stable for identical inputs.
+    """
+    n = len(columns[0])
+    fields = [
+        [""] * n if column is None
+        else [f"{v:.17g}" if math.isfinite(v) else "" for v in np.asarray(column).tolist()]
+        for column in columns
+    ]
+    path = Path(path)
+    path.write_text("\n".join([header, *map(",".join, zip(*fields))]) + "\n", encoding="utf-8")
+    return path
 
 
 def emit_csv(result: SweepResult, path) -> Path:
-    """Write ``tau,q_over_sigma,p_dimensionless,success_prob`` rows.
-
-    Numbers carry 17 significant digits; undefined fields are empty; output
-    is byte-stable for identical inputs.
-    """
-    lines = [CSV_HEADER]
-    n = len(result.tau)
-    q = result.q if result.q is not None else [None] * n
-    p = result.p if result.p is not None else [None] * n
-    for i in range(n):
-        lines.append(
-            f"{result.tau[i]:.17g},{_cell(q[i])},{_cell(p[i])},{_cell(result.success_prob[i])}"
-        )
+    """Write ``tau,q_over_sigma,p_dimensionless,success_prob`` rows in the
+    ``_write_csv`` format."""
     path = Path(path)
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return _write_csv(path, CSV_HEADER, [result.tau, result.q, result.p, result.success_prob])
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
-    return path
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -179,17 +181,6 @@ def _figure_sweep(theta: float, gamma: float, observable: str) -> SweepResult:
     return _sweep(SweepConfig(params=params, observable=observable), "analytic")
 
 
-def _emit_wigner_csv(grid: fockspace.WignerGrid, path) -> Path:
-    lines = ["x,y,wigner"]
-    xs, ys = grid.xs(), grid.ys()
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            lines.append(f"{xs[ix]:.17g},{ys[iy]:.17g},{grid.values[iy, ix]:.17g}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 def figure(name: str, out_dir) -> list[Path]:
     """Produce the CSV and SVG files of one preset into ``out_dir``."""
     from . import svgplot
@@ -201,9 +192,10 @@ def figure(name: str, out_dir) -> list[Path]:
     written: list[Path] = []
 
     if name == "fig3":
-        state = fockspace.named_state("minus-superposition", 16)
+        state = fockspace.named_state(FIG3_STATE, FIG3_FOCK_DIM)
         grid = fockspace.wigner(state, FIG3_RANGE, FIG3_RANGE)
-        written.append(_emit_wigner_csv(grid, out / "fig3.csv"))
+        columns = [np.tile(grid.xs(), grid.ny), np.repeat(grid.ys(), grid.nx), grid.values.ravel()]
+        written.append(_write_csv(out / "fig3.csv", "x,y,wigner", columns))
         written.append(svg_heatmap(grid, out / "fig3.svg", title="Wigner function, (|0&#10217;-|1&#10217;)/&#8730;2"))
         return written
 

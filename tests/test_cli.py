@@ -138,6 +138,31 @@ class TestVerifyCommand:
         assert "over 0 compared points, 6 error points" in printed
 
 
+class TestCliErrors:
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["sweep", "--k", 0.5], None, "k=0.5 outside the weak-coupling range"),
+            (["verify", "--dt", 0.5], None, "dt=0.5 outside (0, 0.01]"),
+            (["wigner", "--x-range=-4:4:1"], None, "at least 2 points"),
+            (["wigner"], {"state": "cat"}, "unknown state 'cat'"),
+        ],
+        ids=["sweep-k", "verify-dt", "wigner-range", "wigner-config-state"],
+    )
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, args, config, message):
+        args = args + ["--out", tmp_path / "out"]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", cfg]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(args)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 def test_module_invocation(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "optoweak", "figure", "fig4", "--out-dir", str(tmp_path)],

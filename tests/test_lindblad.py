@@ -164,7 +164,7 @@ class TestIntegrate:
             IntegratorConfig(dt=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(fock_dim=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             IntegratorConfig(method="euler")
 
     def test_fourth_order_convergence(self):

@@ -187,6 +187,44 @@ class TestPlots:
         assert "#ffffff" in text       # white center
         assert text.count("<rect") > 400
 
+    def test_heatmap_cell_rects(self, tmp_path):
+        from optoweak import svgplot
+
+        values = [[1.0, 0.0, -1.0], [0.5, -0.5, 0.25]]
+        path = svgplot.heatmap(values, [0.0, 1.0, 2.0], [0.0, 1.0], tmp_path / "h.svg")
+        lines = path.read_text().splitlines()
+        # a 498 x 376 px plot area split into 3 x 2 cells of 166 x 188 px;
+        # row iy = 0 (lowest y) is drawn at the bottom
+        size = 'width="166.5" height="188.5"'
+        assert lines[3:9] == [
+            f'<rect x="78" y="216" {size} fill="#b2182b"/>',
+            f'<rect x="244" y="216" {size} fill="#ffffff"/>',
+            f'<rect x="410" y="216" {size} fill="#2166ac"/>',
+            f'<rect x="78" y="28" {size} fill="#d88c95"/>',
+            f'<rect x="244" y="28" {size} fill="#90b2d6"/>',
+            f'<rect x="410" y="28" {size} fill="#ecc5ca"/>',
+        ]
+
+    def test_identical_calls_write_identical_bytes(self, tmp_path):
+        from optoweak import svgplot
+
+        xs = np.linspace(0, 1, 50)
+        ys = np.sin(xs)
+        ys[20] = np.nan
+        values = np.outer(np.linspace(-1, 1, 7), np.linspace(0, 1, 5)).tolist()
+        outputs = []
+        for name in ("a", "b"):
+            outputs.append(svgplot.line_plot(
+                [(xs, ys, "a", False), (xs, np.cos(xs), "b", True)],
+                tmp_path / f"line_{name}.svg", xlabel="x", ylabel="y", title="t",
+            ).read_bytes())
+            outputs.append(svgplot.heatmap(
+                values, list(np.linspace(0, 1, 5)), list(np.linspace(-1, 1, 7)),
+                tmp_path / f"heat_{name}.svg", xlabel="x", ylabel="y", title="t",
+            ).read_bytes())
+        assert outputs[0] == outputs[2]
+        assert outputs[1] == outputs[3]
+
 
 class TestFigures:
     def test_unknown_name_rejected(self, tmp_path):
@@ -222,6 +260,9 @@ class TestFigures:
         assert lines[0] == "x,y,wigner"
         assert len(lines) == 1 + 201 * 201
         data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        axis = np.linspace(-4.0, 4.0, 201)
+        assert np.array_equal(data[:, 0], np.tile(axis, 201))    # x varies fastest,
+        assert np.array_equal(data[:, 1], np.repeat(axis, 201))  # then y
         origin = data[(data[:, 0] == 0.0) & (data[:, 1] == 0.0), 2]
         assert origin.size == 1 and abs(origin[0]) < 1e-8
         assert data[:, 2].min() < 0
