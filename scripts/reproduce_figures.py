@@ -27,13 +27,7 @@ def main() -> int:
     start = time.perf_counter()
     report = verify(out=out_dir / "verify_report.json")
     took = time.perf_counter() - start
-    verdict = "PASS" if report.passed else "FAIL"
-    errors = sum(1 for point in report.points if "error" in point)
-    print(
-        f"verify: {verdict}, max |analytic - oracle| = {report.max_abs_diff:.3e} "
-        f"over {len(report.points) - errors} compared points, {errors} error points  "
-        f"({took:.1f}s)"
-    )
+    print(f"verify: {report.summary()}  ({took:.1f}s)")
     return 0 if report.passed else 1
 
 

@@ -34,6 +34,8 @@ FIG3_STATE = "minus-superposition"
 FIG3_FOCK_DIM = 16
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5a", "fig5b")
+OBSERVABLES = ("q", "p", "both")
+ENGINES = ("analytic", "oracle", "both")
 
 CSV_HEADER = "tau,q_over_sigma,p_dimensionless,success_prob"
 
@@ -54,9 +56,9 @@ class SweepConfig:
             raise ValueError("tau_start must be non-negative")
         if self.steps < 2:
             raise ValueError("a sweep needs at least 2 points")
-        if self.observable not in ("q", "p", "both"):
+        if self.observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
-        if self.engine not in ("analytic", "oracle", "both"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
 
     def taus(self) -> np.ndarray:
@@ -242,6 +244,15 @@ class VerifyReport:
             "pass": self.passed,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+    def summary(self) -> str:
+        """One line: verdict, largest difference, compared and error point counts."""
+        errors = sum("error" in point for point in self.points)
+        return (
+            f"{'PASS' if self.passed else 'FAIL'}: max |analytic - oracle| = "
+            f"{self.max_abs_diff:.3e} (tolerance {self.tolerance:g}) over "
+            f"{len(self.points) - errors} compared points, {errors} error points"
+        )
 
 
 def default_verify_grid() -> list[tuple[model.ModelParams, str]]:

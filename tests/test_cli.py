@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from optoweak import lindblad
+from optoweak import fockspace, lindblad, model, sweeps
 from optoweak.cli import main
 from optoweak.lindblad import StepUnstable
 from optoweak.sweeps import CSV_HEADER, read_csv
@@ -75,6 +75,20 @@ class TestConfigFile:
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert len(lines) == 5          # flag value 4 wins over file value 3
 
+    def test_values_parsed_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "c.csv"
+        cfg.write_text(json.dumps(
+            {"theta": "0.001", "tau_end": 1, "steps": "3", "plot": None, "out": str(out)}
+        ))
+        assert run_cli(["sweep", "--config", cfg]) == 0
+        flagged = tmp_path / "f.csv"
+        run_cli(["sweep", "--theta", "0.001", "--tau-end", "1", "--steps", "3",
+                 "--out", flagged])
+        assert out.read_bytes() == flagged.read_bytes()
+        # the null "plot" entry left --plot unset, so no SVG was written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "cfg.json", "f.csv"]
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"stepz": 3}))
@@ -138,6 +152,39 @@ class TestVerifyCommand:
         assert "over 0 compared points, 6 error points" in printed
 
 
+class TestCliDefaults:
+    """With no flags, each subcommand uses the defaults of the library's own owners."""
+
+    def test_sweep(self, tmp_path):
+        out, expected = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert run_cli(["sweep", "--out", out]) == 0
+        config = sweeps.SweepConfig(model.ModelParams(k=sweeps.FIG_COUPLING))
+        sweeps.emit_csv(sweeps.run_sweep(config), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_wigner(self, tmp_path):
+        out, expected = tmp_path / "cli.svg", tmp_path / "lib.svg"
+        assert run_cli(["wigner", "--out", out]) == 0
+        state = fockspace.named_state(sweeps.FIG3_STATE, sweeps.FIG3_FOCK_DIM)
+        grid = fockspace.wigner(state, sweeps.FIG3_RANGE, sweeps.FIG3_RANGE)
+        sweeps.svg_heatmap(grid, expected, title=f"Wigner function, {sweeps.FIG3_STATE}")
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_verify(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_verify(**kwargs):
+            calls.append(kwargs)
+            return sweeps.VerifyReport(points=[], max_abs_diff=0.0,
+                                       tolerance=kwargs["tolerance"], passed=False)
+
+        monkeypatch.setattr(sweeps, "verify", fake_verify)
+        out = tmp_path / "report.json"
+        run_cli(["verify", "--out", out])
+        assert calls == [{"tolerance": sweeps.VERIFY_TOLERANCE,
+                          "config": lindblad.IntegratorConfig(), "out": str(out)}]
+
+
 class TestCliErrors:
     @pytest.mark.parametrize(
         "args, config, message",
@@ -145,16 +192,28 @@ class TestCliErrors:
             (["sweep", "--k", 0.5], None, "k=0.5 outside the weak-coupling range"),
             (["verify", "--dt", 0.5], None, "dt=0.5 outside (0, 0.01]"),
             (["wigner", "--x-range=-4:4:1"], None, "at least 2 points"),
-            (["wigner"], {"state": "cat"}, "unknown state 'cat'"),
+            (["wigner"], {"state": "cat"}, "invalid choice: 'cat'"),
+            (["sweep"], {"steps": 3.5}, "argument --steps: invalid int value: '3.5'"),
+            (["sweep"], {"steps": "three"}, "argument --steps: invalid int value: 'three'"),
+            (["sweep"], {"k": True}, "argument --k: invalid float value: 'True'"),
+            (["sweep"], {"observable": "x"}, "argument --observable: invalid choice: 'x'"),
+            (["sweep"], 3, "must hold a JSON object"),
+            (["sweep", "--out", "nodir/s.csv"], None, "cannot write sweep CSV to nodir/s.csv"),
+            (["wigner", "--out", "nodir/w.svg"], None, "No such file or directory: 'nodir/w.svg'"),
+            (["figure", "fig4", "--out-dir", "file/x"], None, "Not a directory: 'file/x'"),
         ],
-        ids=["sweep-k", "verify-dt", "wigner-range", "wigner-config-state"],
+        ids=["sweep-k", "verify-dt", "wigner-range", "wigner-config-state",
+             "config-steps-float", "config-steps-word", "config-k-bool",
+             "config-observable", "config-not-object",
+             "sweep-unwritable", "wigner-unwritable", "figure-unwritable"],
     )
-    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, args, config, message):
-        args = args + ["--out", tmp_path / "out"]
+    def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, args, config,
+                                        message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")  # a plain file, so file/x cannot be made
         if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            args += ["--config", cfg]
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = args + ["--config", "cfg.json"]
         with pytest.raises(SystemExit) as exit_info:
             run_cli(args)
         assert exit_info.value.code == 2
