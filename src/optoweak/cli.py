@@ -32,6 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     integrator = lindblad.IntegratorConfig
+    dt_help = "RK4 step, validated to (0, 0.01] but unused: the exact oracle takes no step"
 
     sp = sub.add_parser("sweep", help="tabulate conditioned observables over a tau grid")
     sp.add_argument("--k", type=float, default=sweeps.FIG_COUPLING)
@@ -43,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--observable", choices=sweeps.OBSERVABLES,
                     default=sweeps.SweepConfig.observable)
     sp.add_argument("--engine", choices=sweeps.ENGINES, default=sweeps.SweepConfig.engine)
-    sp.add_argument("--dt", type=float, default=integrator.dt, help="oracle integrator step")
+    sp.add_argument("--dt", type=float, default=integrator.dt, help=dt_help)
     sp.add_argument("--fock-dim", type=int, default=integrator.fock_dim)
     sp.add_argument("--out", default="sweep.csv", help="CSV output path")
     sp.add_argument("--plot", help="optional SVG output path")
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="compare closed forms against the Lindblad oracle")
     vp.add_argument("--tolerance", type=float, default=sweeps.VERIFY_TOLERANCE)
-    vp.add_argument("--dt", type=float, default=integrator.dt)
+    vp.add_argument("--dt", type=float, default=integrator.dt, help=dt_help)
     vp.add_argument("--fock-dim", type=int, default=integrator.fock_dim)
     vp.add_argument("--out", default="verify_report.json", help="JSON report path")
 

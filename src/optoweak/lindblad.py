@@ -1,17 +1,22 @@
-"""Brute-force master-equation oracle for the joint photon-path (x) mirror state.
+"""Master-equation oracle for the joint photon-path (x) mirror state.
 
-Integrates
+Evolves
 
     d rho / d tau = -i [H, rho] + (gamma/2)(2 C rho C^dag - C^dag C rho - rho C^dag C)
 
-with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c,
-by fixed-step fourth-order Runge-Kutta on the dense 2N x 2N density matrix.
-Every analytic formula in :mod:`optoweak.model` is validated against this
-integrator; nothing here shares code with the closed forms.
+with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c.
+H and C commute with |A><A|, so the four N x N path blocks of rho evolve
+apart under one sparse, time-independent generator.  :func:`oracle_sweep`
+applies its exact exponential to the stacked blocks; :func:`integrate` and
+:func:`integrate_snapshots` step the same generator by fixed-step RK4 as
+the brute-force check.  Every analytic formula in :mod:`optoweak.model` is
+validated against this oracle; nothing here shares code with the closed
+forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +36,9 @@ class StepUnstable(Exception):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings: dt in (0, 0.01], Fock cutoff >= 8."""
+    """Oracle settings: the Fock cutoff (>= 8) of every route, and the RK4
+    step dt in (0, 0.01] of :func:`integrate` and :func:`integrate_snapshots`.
+    The exact :func:`oracle_sweep` takes no step, so dt does not affect it."""
 
     dt: float = 1e-3
     fock_dim: int = 16
@@ -56,22 +63,45 @@ def collapse_operator(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _cached_ops(k: float, dim: int):
-    H = build_hamiltonian(ModelParams(k=k), dim)
-    C = collapse_operator(dim)
-    nvec = np.kron(np.ones(2), np.arange(dim, dtype=float))
-    return H, C, C.conj().T, nvec
+def _block_generator(k: float, gamma: float, dim: int):
+    """Sparse generator of the stacked blocks AA, AB, BA, BB of the joint rho.
+
+    H and C commute with |A><A|, so each N x N block rho_ij evolves on its
+    own under -i (H_i rho_ij - rho_ij H_j) + gamma (c rho_ij c^dag -
+    (n rho_ij + rho_ij n)/2), with H_A = n - k x and H_B = n.  Row-major
+    vectorisation (vec(X Y Z) = (X (x) Z^T) vec Y) turns each block into an
+    N^2 x N^2 matrix; the four sit block-diagonally in one CSR matrix that
+    acts on :func:`_stack` vectors.
+    """
+    from scipy import sparse
+
+    number = sparse.diags(np.arange(dim, dtype=complex))
+    c = sparse.csr_matrix(annihilation_matrix(dim))
+    eye = sparse.identity(dim, dtype=complex)
+    arms = (number - k * sparse.csr_matrix(position_quadrature(dim)), number)
+    damping = gamma * (sparse.kron(c, c.conj())
+                       - 0.5 * (sparse.kron(number, eye) + sparse.kron(eye, number)))
+    blocks = [-1j * (sparse.kron(h_left, eye) - sparse.kron(eye, h_right.T)) + damping
+              for h_left in arms for h_right in arms]
+    return sparse.block_diag(blocks, format="csr")
+
+
+def _stack(rho: np.ndarray) -> np.ndarray:
+    """The blocks AA, AB, BA, BB of a 2N x 2N matrix, each raveled row-major."""
+    dim = rho.shape[0] // 2
+    return rho.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3).ravel()
+
+
+def _assemble(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_stack`."""
+    dim = math.isqrt(v.size // 4)
+    return v.reshape(2, 2, dim, dim).transpose(0, 2, 1, 3).reshape(2 * dim, 2 * dim)
 
 
 def lindblad_rhs(params: ModelParams, rho: np.ndarray) -> np.ndarray:
-    """d rho / d tau for the joint density matrix."""
-    dim = rho.shape[0] // 2
-    H, C, Cdag, nvec = _cached_ops(params.k, dim)
-    d = -1j * (H @ rho - rho @ H)
-    if params.gamma:
-        d = d + params.gamma * (C @ rho @ Cdag)
-        d = d - 0.5 * params.gamma * (nvec[:, None] * rho + rho * nvec[None, :])
-    return d
+    """d rho / d tau for the joint density matrix, through :func:`_block_generator`."""
+    generator = _block_generator(params.k, params.gamma, rho.shape[0] // 2)
+    return _assemble(generator @ _stack(np.asarray(rho, dtype=complex)))
 
 
 def initial_joint_density(dim: int, theta: float = 0.0) -> np.ndarray:
@@ -94,32 +124,53 @@ def _check_physicality(rho: np.ndarray, stats: dict | None):
         stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
 
 
-def _evolve(params, rho, tau_span, config, stats, step_counter):
-    """Advance rho by tau_span with full dt steps plus one shortened landing step."""
-    n_full = int(np.floor(tau_span / config.dt + 1e-12))
-    remainder = tau_span - n_full * config.dt
-    sizes = [config.dt] * n_full
-    if remainder > 1e-12:
-        sizes.append(remainder)
-    for h in sizes:
-        k1 = lindblad_rhs(params, rho)
-        k2 = lindblad_rhs(params, rho + (0.5 * h) * k1)
-        k3 = lindblad_rhs(params, rho + (0.5 * h) * k2)
-        k4 = lindblad_rhs(params, rho + h * k3)
-        rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        step_counter[0] += 1
-        if step_counter[0] % _CHECK_INTERVAL == 0:
-            _check_physicality(rho, stats)
-    return rho
+def _rk4(generator, dt: float, stats: dict | None):
+    """advance(v, span) for :func:`_snapshots`: fixed RK4 steps of ``dt`` on
+    the stacked blocks plus one shortened landing step, with physicality
+    checked every 100 steps."""
+    steps = 0
+
+    def advance(v, span):
+        nonlocal steps
+        n_full = int(np.floor(span / dt + 1e-12))
+        remainder = span - n_full * dt
+        sizes = [dt] * n_full
+        if remainder > 1e-12:
+            sizes.append(remainder)
+        for h in sizes:
+            k1 = generator @ v
+            k2 = generator @ (v + (0.5 * h) * k1)
+            k3 = generator @ (v + (0.5 * h) * k2)
+            k4 = generator @ (v + h * k3)
+            v = v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            steps += 1
+            if steps % _CHECK_INTERVAL == 0:
+                _check_physicality(_assemble(v), stats)
+        return v
+
+    return advance
 
 
 def _finalize(rho, stats):
     deviation = np.max(np.abs(rho - rho.conj().T))
     if deviation > _HERMITICITY_LIMIT:
         raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
-    rho = (rho + rho.conj().T) / 2
-    _check_physicality(rho, stats)
-    return rho
+    _check_physicality(rho, stats)  # before symmetrizing, so stats see the drift
+    return (rho + rho.conj().T) / 2
+
+
+def _snapshots(taus, rho: np.ndarray, stats: dict | None, advance):
+    """Yield the state at each time of ``taus``, one at a time, from ``rho``
+    at 0; ``advance(v, span)`` carries a :func:`_stack` vector forward by
+    ``span``, and each span starts from the last finalized snapshot."""
+    taus = np.asarray(taus, dtype=float)
+    if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
+        raise ValueError("snapshot times must be non-decreasing and non-negative")
+    current = 0.0
+    for t in taus:
+        rho = _finalize(_assemble(advance(_stack(rho), t - current)), stats)
+        current = t
+        yield rho
 
 
 def integrate(
@@ -148,25 +199,17 @@ def integrate_snapshots(
     initial: np.ndarray | None = None,
     stats: dict | None = None,
 ) -> list[np.ndarray]:
-    """States at each requested time, from a single forward pass.
+    """RK4 states at each requested time, from a single forward pass.
 
-    ``taus`` must be non-decreasing and non-negative.  Each snapshot is
-    symmetrized after its Hermiticity drift is asserted below 1e-9.
+    The brute-force check of the exact :func:`oracle_sweep`, stepping on the
+    same block generator.  ``taus`` must be non-decreasing and non-negative.
+    Each snapshot is symmetrized after its Hermiticity drift is asserted
+    below 1e-9.
     """
     config = config or IntegratorConfig()
-    taus = np.asarray(taus, dtype=float)
-    if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
-        raise ValueError("snapshot times must be non-decreasing and non-negative")
     rho = initial_joint_density(config.fock_dim, params.theta) if initial is None else np.asarray(initial, dtype=complex)
-    counter = [0]
-    out = []
-    current = 0.0
-    for t in taus:
-        rho = _evolve(params, rho, t - current, config, stats, counter)
-        current = t
-        out.append(_finalize(rho, stats))
-        rho = out[-1]
-    return out
+    generator = _block_generator(params.k, params.gamma, rho.shape[0] // 2)
+    return list(_snapshots(taus, rho, stats, _rk4(generator, config.dt, stats)))
 
 
 def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0.0):
@@ -206,29 +249,55 @@ def oracle_mean_p(params: ModelParams, tau: float, config: IntegratorConfig | No
     return _oracle_point(params, tau, config)[1]
 
 
+def oracle_sweeps(
+    group: list[ModelParams],
+    taus,
+    config: IntegratorConfig | None = None,
+    stats: dict | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Conditional q, p and dark-port probability for parameter sets that
+    share k and gamma, from one exact evolution.
+
+    theta enters only at postselection, so the group evolves once from the
+    unshifted source: ``expm_multiply`` (Al-Mohy & Higham 2011) carries the
+    stacked blocks from one snapshot time to the next, and every member
+    postselects each snapshot as it streams past.  Returns one (q, p, prob)
+    triple of arrays per member; times where the dark-port probability is
+    at the floor give NaN observables instead of raising.
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    config = config or IntegratorConfig()
+    if len({(params.k, params.gamma) for params in group}) > 1:
+        raise ValueError("parameter sets evolved together must share k and gamma")
+    if not group:
+        return []
+    taus = np.asarray(taus, dtype=float)
+    q, p, prob = (np.full((len(group), taus.size), np.nan) for _ in range(3))
+    dim = config.fock_dim
+    xop, pop = position_quadrature(dim), momentum_quadrature(dim)
+    generator = _block_generator(group[0].k, group[0].gamma, dim)
+    snapshots = _snapshots(taus, initial_joint_density(dim), stats,
+                           lambda v, span: expm_multiply(span * generator, v))
+    for i, rho in enumerate(snapshots):
+        for j, params in enumerate(group):
+            mirror, prob[j, i] = postselect_density(rho, theta=params.theta)
+            if prob[j, i] >= TRACE_FLOOR:
+                q[j, i] = np.trace(mirror @ xop).real / prob[j, i]
+                p[j, i] = np.trace(mirror @ pop).real / prob[j, i]
+    return list(zip(q, p, prob))
+
+
 def oracle_sweep(
     params: ModelParams,
     taus,
     config: IntegratorConfig | None = None,
     stats: dict | None = None,
 ):
-    """Conditional q, p and dark-port probability at each time, in one pass.
+    """Conditional q, p and dark-port probability at each time, from one
+    exact evolution: the one-member case of :func:`oracle_sweeps`.
 
     Times where the dark-port probability is at the floor give NaN
     observables instead of raising.  Returns (q, p, prob) arrays.
     """
-    config = config or IntegratorConfig()
-    xop = position_quadrature(config.fock_dim)
-    pop = momentum_quadrature(config.fock_dim)
-    q_out, p_out, prob_out = [], [], []
-    source = ModelParams(k=params.k, gamma=params.gamma, theta=0.0)
-    for rho in integrate_snapshots(source, taus, config, stats=stats):
-        mirror, prob = postselect_density(rho, theta=params.theta)
-        prob_out.append(prob)
-        if prob < TRACE_FLOOR:
-            q_out.append(np.nan)
-            p_out.append(np.nan)
-        else:
-            q_out.append(np.trace(mirror @ xop).real / prob)
-            p_out.append(np.trace(mirror @ pop).real / prob)
-    return np.array(q_out), np.array(p_out), np.array(prob_out)
+    return oracle_sweeps([params], taus, config, stats)[0]

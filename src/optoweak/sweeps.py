@@ -276,9 +276,11 @@ def verify(
 ) -> VerifyReport:
     """Compare closed forms against the master-equation oracle point by point.
 
-    Engine errors are recorded on the offending points instead of aborting
-    the report.  The report passes only if it compared at least one point,
-    recorded no error and every difference is below ``tolerance``.  When ``out`` is
+    The oracle evolves once per (k, gamma); every theta of that group is
+    postselected from the same snapshots.  Engine errors are recorded on
+    each parameter set they hit instead of aborting the report.  The
+    report passes only if it compared at least one point, recorded no
+    error and every difference is below ``tolerance``.  When ``out`` is
     given the JSON report is written there.
     """
     config = config or lindblad.IntegratorConfig()
@@ -288,6 +290,16 @@ def verify(
     by_params: dict[model.ModelParams, list[str]] = {}
     for params, observable in grid:
         by_params.setdefault(params, []).append(observable)
+    # theta enters the oracle only at postselection: one evolution per (k, gamma)
+    groups: dict[tuple[float, float], list[model.ModelParams]] = {}
+    for params in by_params:
+        groups.setdefault((params.k, params.gamma), []).append(params)
+    shared: dict[model.ModelParams, tuple | Exception] = {}
+    for members in groups.values():
+        try:
+            shared.update(zip(members, lindblad.oracle_sweeps(members, taus, config, stats=stats)))
+        except Exception as exc:  # recorded on every member below, not fatal
+            shared.update(dict.fromkeys(members, exc))
 
     points: list[dict] = []
     diffs = []
@@ -295,7 +307,9 @@ def verify(
     for params, observables in by_params.items():
         base = {"k": params.k, "gamma": params.gamma, "theta": params.theta}
         try:
-            oracle = lindblad.oracle_sweep(params, taus, config, stats=stats)
+            oracle = shared[params]
+            if isinstance(oracle, Exception):
+                raise oracle
             analytic = model.conditioned_moments(params, taus)
         except Exception as exc:  # recorded, not fatal
             points.append({**base, "observable": "/".join(observables), "error": str(exc)})

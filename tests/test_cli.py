@@ -144,7 +144,7 @@ class TestVerifyCommand:
         def unstable(*args, **kwargs):
             raise StepUnstable("trace drifted")
 
-        monkeypatch.setattr(lindblad, "oracle_sweep", unstable)
+        monkeypatch.setattr(lindblad, "oracle_sweeps", unstable)
         code = run_cli(["verify", "--out", tmp_path / "report.json"])
         assert code == 1
         printed = capsys.readouterr().out

@@ -11,6 +11,8 @@ from optoweak.fockspace import (
     evolve_pure,
     fidelity,
     initial_joint_state,
+    momentum_quadrature,
+    position_quadrature,
     postselect_pure,
 )
 from optoweak.lindblad import (
@@ -25,6 +27,7 @@ from optoweak.lindblad import (
     oracle_mean_p,
     oracle_mean_q,
     oracle_sweep,
+    oracle_sweeps,
     postselect_density,
 )
 from optoweak.model import (
@@ -40,6 +43,28 @@ from optoweak.model import (
 
 TWO_PI = 2 * np.pi
 K = 0.005
+VERIFY_TAUS = np.linspace(0.0, 4 * np.pi, 50)   # the default ``verify`` grid
+
+
+@pytest.fixture(scope="module")
+def rk4_verify_snapshots():
+    """RK4 snapshots at the default step on the default ``verify`` grid, per gamma."""
+    return {gamma: integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS)
+            for gamma in (0.0, 0.005)}
+
+
+def rk4_moments(snapshots, theta):
+    """Conditioned q, p and dark-port probability of RK4 snapshots, postselected
+    at ``theta`` (NaN moments where the port cannot fire)."""
+    dim = snapshots[0].shape[0] // 2
+    xop, pop = position_quadrature(dim), momentum_quadrature(dim)
+    q, p, prob = (np.full(len(snapshots), np.nan) for _ in range(3))
+    for i, rho in enumerate(snapshots):
+        mirror, prob[i] = postselect_density(rho, theta=theta)
+        if prob[i] > 1e-12:
+            q[i] = np.trace(mirror @ xop).real / prob[i]
+            p[i] = np.trace(mirror @ pop).real / prob[i]
+    return q, p, prob
 
 
 def analytic_joint_density(params, tau, dim):
@@ -95,6 +120,17 @@ class TestGenerator:
         rho = initial_joint_density(8)
         h = build_hamiltonian(p, 8)
         assert np.allclose(lindblad_rhs(p, rho), -1j * (h @ rho - rho @ h), atol=1e-15)
+
+    def test_rhs_with_damping_matches_the_dense_form(self):
+        rng = np.random.default_rng(9)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = m + m.conj().T
+        p = ModelParams(k=0.2, gamma=0.3)
+        h, c = build_hamiltonian(p, 8), collapse_operator(8)
+        cdc = c.conj().T @ c
+        dense = (-1j * (h @ rho - rho @ h)
+                 + p.gamma * (c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)))
+        assert np.max(np.abs(lindblad_rhs(p, rho) - dense)) < 1e-12 * np.max(np.abs(dense))
 
     def test_collapse_operator_acts_per_arm(self):
         c = collapse_operator(3)
@@ -254,12 +290,46 @@ class TestOracleObservables:
         assert np.isnan(q[0]) and np.isnan(pmom[0]) and prob[0] < 1e-12
         assert np.isfinite(q[1])
 
-    def test_halving_the_step_barely_moves_the_answer(self):
-        # fixed-step truncation error is far below the comparison tolerances
-        taus = np.linspace(0.0, 4 * np.pi, 50)
+    def test_halving_the_step_barely_moves_the_answer(self, rk4_verify_snapshots):
+        # fixed-step RK4 truncation error is far below the comparison tolerances
         for gamma, theta in ((0.0, 0.0), (0.005, 0.001)):
-            p = ModelParams(k=K, gamma=gamma, theta=theta)
-            q_coarse, _, prob = oracle_sweep(p, taus, IntegratorConfig(dt=1e-3))
-            q_fine, _, _ = oracle_sweep(p, taus, IntegratorConfig(dt=5e-4))
+            q_coarse, _, prob = rk4_moments(rk4_verify_snapshots[gamma], theta)
+            fine = integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS,
+                                       IntegratorConfig(dt=5e-4))
+            q_fine, _, _ = rk4_moments(fine, theta)
             live = prob > 1e-12
             assert np.nanmax(np.abs(q_coarse[live] - q_fine[live])) < 1e-7
+
+    def test_rk4_agrees_with_the_exact_route(self, rk4_verify_snapshots):
+        for gamma in (0.0, 0.005):
+            for theta in (0.0, 0.001, -0.001):
+                exact = oracle_sweep(ModelParams(k=K, gamma=gamma, theta=theta), VERIFY_TAUS)
+                rk4 = rk4_moments(rk4_verify_snapshots[gamma], theta)
+                live = exact[2] > 1e-12
+                assert np.array_equal(live, rk4[2] > 1e-12)
+                assert np.max(np.abs(rk4[2] - exact[2])) < 1e-7
+                for rk4_vals, exact_vals in zip(rk4[:2], exact[:2]):
+                    assert np.max(np.abs(rk4_vals[live] - exact_vals[live])) < 1e-7
+
+    @pytest.mark.parametrize("taus", [
+        [0.3, 0.35, 1.9, 6.0, 12.5],
+        [2.0, 2.5, 3.0],
+        [0.0, 1.1, 1.1, 4.0],
+    ], ids=["non-uniform", "late-start", "repeated"])
+    def test_exact_route_matches_point_by_point_calls(self, taus):
+        p = ModelParams(k=K, gamma=0.005, theta=0.001)
+        chained = oracle_sweep(p, taus)
+        for i, tau in enumerate(taus):
+            q, pmom, prob = oracle_sweep(p, [tau])
+            assert chained[0][i] == pytest.approx(q[0], abs=1e-8)
+            assert chained[1][i] == pytest.approx(pmom[0], abs=1e-8)
+            assert chained[2][i] == pytest.approx(prob[0], rel=1e-8)
+
+    def test_shared_evolution_equals_one_sweep_per_member(self):
+        group = [ModelParams(k=K, gamma=0.005, theta=theta) for theta in (0.0, 0.001, -0.001)]
+        taus = [0.5, 2.0, 7.0]
+        for shared, params in zip(oracle_sweeps(group, taus), group):
+            for a, b in zip(shared, oracle_sweep(params, taus)):
+                assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="share k and gamma"):
+            oracle_sweeps([ModelParams(k=K), ModelParams(k=K, gamma=0.005)], taus)

@@ -307,6 +307,21 @@ class TestVerify:
         assert len(report.points) == 8
         assert [args[0] for args in calls] == [undamped, damped]
 
+    def test_one_oracle_evolution_per_k_gamma(self, monkeypatch):
+        oracle_sweeps = lindblad.oracle_sweeps
+        groups = []
+
+        def recorded(group, *args, **kwargs):
+            groups.append([(params.gamma, params.theta) for params in group])
+            return oracle_sweeps(group, *args, **kwargs)
+
+        monkeypatch.setattr(lindblad, "oracle_sweeps", recorded)
+        report = verify(config=IntegratorConfig(fock_dim=12), taus=np.linspace(0.5, 1.0, 2))
+        assert report.passed
+        assert len(report.points) == 24
+        assert groups == [[(gamma, 0.0), (gamma, 0.001), (gamma, -0.001)]
+                          for gamma in (0.0, 0.005)]
+
     def test_zero_tolerance_fails(self):
         report = verify(
             grid=[(ModelParams(k=K), "q")],
@@ -332,7 +347,7 @@ class TestVerify:
         def unstable(*args, **kwargs):
             raise StepUnstable("trace drifted")
 
-        monkeypatch.setattr(lindblad, "oracle_sweep", unstable)
+        monkeypatch.setattr(lindblad, "oracle_sweeps", unstable)
         report = verify(
             grid=[(ModelParams(k=K, gamma=0.005), "p"),
                   (ModelParams(k=K, gamma=0.005), "q")],
@@ -346,13 +361,13 @@ class TestVerify:
         assert not report.passed
 
     def test_nan_oracle_value_fails(self, monkeypatch):
-        oracle_sweep = lindblad.oracle_sweep
+        oracle_sweeps = lindblad.oracle_sweeps
 
         def nan_positions(*args, **kwargs):
-            q, p, prob = oracle_sweep(*args, **kwargs)
-            return np.full_like(q, np.nan), p, prob
+            return [(np.full_like(q, np.nan), p, prob)
+                    for q, p, prob in oracle_sweeps(*args, **kwargs)]
 
-        monkeypatch.setattr(lindblad, "oracle_sweep", nan_positions)
+        monkeypatch.setattr(lindblad, "oracle_sweeps", nan_positions)
         report = verify(
             grid=[(ModelParams(k=K, theta=0.001), "q")],
             config=IntegratorConfig(dt=5e-3, fock_dim=12),
