@@ -7,7 +7,8 @@ Evolves
 with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c.
 H and C commute with |A><A|, so the four N x N path blocks of rho evolve
 apart under one sparse, time-independent generator.  :func:`oracle_sweep`
-applies its exact exponential to the stacked blocks; :func:`integrate` and
+applies its exact exponential to the stacked blocks by truncated Taylor
+series (Al-Mohy & Higham 2011); :func:`integrate` and
 :func:`integrate_snapshots` step the same generator by fixed-step RK4 as
 the brute-force check.  Every analytic formula in :mod:`optoweak.model` is
 validated against this oracle; nothing here shares code with the closed
@@ -28,6 +29,20 @@ from .fockspace import annihilation_matrix, position_quadrature, momentum_quadra
 _CHECK_INTERVAL = 100
 _TRACE_DRIFT_LIMIT = 1e-6
 _HERMITICITY_LIMIT = 1e-9
+
+# theta_m for tolerance 2^-53 (Al-Mohy & Higham 2011, Table 3.1): s Taylor
+# polynomials of degree m give exp(t A) v to that tolerance while
+# t ||A||_1 <= s theta_m.
+_TAYLOR_TOL = 2.0 ** -53
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 class StepUnstable(Exception):
@@ -124,6 +139,54 @@ def _check_physicality(rho: np.ndarray, stats: dict | None):
         stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
 
 
+def _count_applications(stats: dict | None, count: int):
+    if stats is not None:
+        stats["generator_applications"] = stats.get("generator_applications", 0) + count
+
+
+def _taylor(generator, stats: dict | None):
+    """advance(v, span) for :func:`_snapshots`: exp(span L) v by truncated
+    Taylor series, algorithm 3.2 of Al-Mohy & Higham (2011).
+
+    The trace shift mu = tr L / n, the shifted CSR L - mu I and its exact
+    1-norm depend on the generator alone and are taken once; each span only
+    picks the degree m and the number of substeps s that minimise m s.
+    """
+    from scipy import sparse
+
+    n = generator.shape[0]
+    mu = generator.trace() / n
+    shifted = (generator - mu * sparse.identity(n, dtype=complex, format="csr")).tocsr()
+    norm = abs(shifted).sum(axis=0).max()
+    degrees = np.fromiter(_THETA.keys(), dtype=int)
+    thetas = np.fromiter(_THETA.values(), dtype=float)
+
+    def advance(v, span):
+        m, s = 0, 1
+        if span * norm > 0:
+            substeps = np.ceil(span * norm / thetas)
+            best = np.argmin(degrees * substeps)  # the first, i.e. lowest, degree on a tie
+            m, s = int(degrees[best]), int(substeps[best])
+        eta = np.exp(span * mu / s)
+        applications = 0
+        for _ in range(s):
+            term = v
+            c1 = np.max(np.abs(term))
+            for j in range(m):
+                term = (span / (s * (j + 1))) * (shifted @ term)
+                applications += 1
+                c2 = np.max(np.abs(term))
+                v = v + term
+                if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(v)):  # two terms below tolerance
+                    break
+                c1 = c2
+            v = eta * v
+        _count_applications(stats, applications)
+        return v
+
+    return advance
+
+
 def _rk4(generator, dt: float, stats: dict | None):
     """advance(v, span) for :func:`_snapshots`: fixed RK4 steps of ``dt`` on
     the stacked blocks plus one shortened landing step, with physicality
@@ -146,6 +209,7 @@ def _rk4(generator, dt: float, stats: dict | None):
             steps += 1
             if steps % _CHECK_INTERVAL == 0:
                 _check_physicality(_assemble(v), stats)
+        _count_applications(stats, 4 * len(sizes))
         return v
 
     return advance
@@ -164,6 +228,8 @@ def _snapshots(taus, rho: np.ndarray, stats: dict | None, advance):
     at 0; ``advance(v, span)`` carries a :func:`_stack` vector forward by
     ``span``, and each span starts from the last finalized snapshot."""
     taus = np.asarray(taus, dtype=float)
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("snapshot times must be finite")
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
     current = 0.0
@@ -259,14 +325,12 @@ def oracle_sweeps(
     share k and gamma, from one exact evolution.
 
     theta enters only at postselection, so the group evolves once from the
-    unshifted source: ``expm_multiply`` (Al-Mohy & Higham 2011) carries the
-    stacked blocks from one snapshot time to the next, and every member
-    postselects each snapshot as it streams past.  Returns one (q, p, prob)
+    unshifted source: the truncated-Taylor propagator of :func:`_taylor`
+    carries the stacked blocks from one snapshot time to the next, and
+    every member postselects each snapshot as it streams past.  Returns one (q, p, prob)
     triple of arrays per member; times where the dark-port probability is
     at the floor give NaN observables instead of raising.
     """
-    from scipy.sparse.linalg import expm_multiply
-
     config = config or IntegratorConfig()
     if len({(params.k, params.gamma) for params in group}) > 1:
         raise ValueError("parameter sets evolved together must share k and gamma")
@@ -277,8 +341,7 @@ def oracle_sweeps(
     dim = config.fock_dim
     xop, pop = position_quadrature(dim), momentum_quadrature(dim)
     generator = _block_generator(group[0].k, group[0].gamma, dim)
-    snapshots = _snapshots(taus, initial_joint_density(dim), stats,
-                           lambda v, span: expm_multiply(span * generator, v))
+    snapshots = _snapshots(taus, initial_joint_density(dim), stats, _taylor(generator, stats))
     for i, rho in enumerate(snapshots):
         for j, params in enumerate(group):
             mirror, prob[j, i] = postselect_density(rho, theta=params.theta)

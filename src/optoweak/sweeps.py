@@ -50,6 +50,8 @@ class SweepConfig:
     engine: str = "analytic"
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau_start) and math.isfinite(self.tau_end)):
+            raise ValueError("tau bounds must be finite")
         if not (self.tau_start < self.tau_end):
             raise ValueError("tau_start must be below tau_end")
         if self.tau_start < 0:

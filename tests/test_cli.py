@@ -190,6 +190,8 @@ class TestCliErrors:
         "args, config, message",
         [
             (["sweep", "--k", 0.5], None, "k=0.5 outside the weak-coupling range"),
+            (["sweep", "--tau-end", "inf", "--steps", 3, "--out", "x.csv"], None,
+             "tau bounds must be finite"),
             (["verify", "--dt", 0.5], None, "dt=0.5 outside (0, 0.01]"),
             (["wigner", "--x-range=-4:4:1"], None, "at least 2 points"),
             (["wigner"], {"state": "cat"}, "invalid choice: 'cat'"),
@@ -202,7 +204,7 @@ class TestCliErrors:
             (["wigner", "--out", "nodir/w.svg"], None, "No such file or directory: 'nodir/w.svg'"),
             (["figure", "fig4", "--out-dir", "file/x"], None, "Not a directory: 'file/x'"),
         ],
-        ids=["sweep-k", "verify-dt", "wigner-range", "wigner-config-state",
+        ids=["sweep-k", "sweep-tau-end-inf", "verify-dt", "wigner-range", "wigner-config-state",
              "config-steps-float", "config-steps-word", "config-k-bool",
              "config-observable", "config-not-object",
              "sweep-unwritable", "wigner-unwritable", "figure-unwritable"],

@@ -29,6 +29,9 @@ from optoweak.lindblad import (
     oracle_sweep,
     oracle_sweeps,
     postselect_density,
+    _block_generator,
+    _stack,
+    _taylor,
 )
 from optoweak.model import (
     DegeneratePostselection,
@@ -193,6 +196,13 @@ class TestIntegrate:
         assert stats["hermiticity_dev"] < 1e-12
         assert stats["min_eigenvalue"] > -1e-10
 
+    def test_four_generator_applications_per_rk4_step(self):
+        # spans 0, 0.105 and 0.095 at dt = 0.01: 0, 10 + 1 and 9 + 1 steps
+        stats = {}
+        integrate_snapshots(ModelParams(k=K, gamma=0.005), [0.0, 0.105, 0.2],
+                            IntegratorConfig(dt=0.01, fock_dim=8), stats=stats)
+        assert stats["generator_applications"] == 4 * 21
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.02)
@@ -333,3 +343,37 @@ class TestOracleObservables:
                 assert np.array_equal(a, b)
         with pytest.raises(ValueError, match="share k and gamma"):
             oracle_sweeps([ModelParams(k=K), ModelParams(k=K, gamma=0.005)], taus)
+
+
+class TestTaylorPropagator:
+    @pytest.mark.parametrize("dim", [16, 32])
+    @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
+    def test_matches_expm_multiply(self, dim, k, gamma):
+        from scipy.sparse.linalg import expm_multiply
+
+        generator = _block_generator(k, gamma, dim)
+        v = _stack(initial_joint_density(dim, theta=0.3))
+        advance = _taylor(generator, None)
+        # 4 pi and 40 take more than one substep (s > 1)
+        for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
+            reference = expm_multiply(span * generator, v)
+            assert np.max(np.abs(advance(v, span) - reference)) <= 1e-13, span
+
+    def test_generator_applications_on_the_verify_grid(self):
+        # expm_multiply made 637 products for the same 50 snapshots
+        stats = {}
+        oracle_sweep(ModelParams(k=K, gamma=0.005), VERIFY_TAUS, stats=stats)
+        assert stats["generator_applications"] == 637
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("evolve", [
+    lambda: oracle_sweep(ModelParams(k=K), [0.5, np.nan]),
+    lambda: oracle_sweep(ModelParams(k=K), [0.5, np.inf]),
+    lambda: oracle_sweeps([ModelParams(k=K)], [-np.inf, 0.5]),
+    lambda: integrate_snapshots(ModelParams(k=K), [np.nan]),
+    lambda: integrate(ModelParams(k=K), np.inf, IntegratorConfig(fock_dim=8)),
+], ids=["exact-nan", "exact-inf", "exact-minus-inf", "rk4-nan", "rk4-inf"])
+def test_non_finite_snapshot_time_is_rejected(evolve):
+    with pytest.raises(ValueError, match="snapshot times must be finite"):
+        evolve()

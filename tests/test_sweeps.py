@@ -58,6 +58,8 @@ class TestSweepConfig:
         [
             {"tau_end": 0.0},
             {"tau_start": -1.0, "tau_end": 1.0},
+            {"tau_end": float("inf")},
+            {"tau_end": float("nan")},
             {"steps": 1},
             {"observable": "x"},
             {"engine": "exact"},
@@ -358,6 +360,14 @@ class TestVerify:
         assert report.points == [{"k": K, "gamma": 0.005, "theta": 0.0,
                                   "observable": "p/q", "error": "trace drifted"}]
         assert report.max_abs_diff == 0.0
+        assert not report.passed
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_time_is_an_error_point(self):
+        report = verify(grid=[(ModelParams(k=K), "q")], config=IntegratorConfig(fock_dim=8),
+                        taus=[0.0, np.inf])
+        assert report.points == [{"k": K, "gamma": 0.0, "theta": 0.0, "observable": "q",
+                                  "error": "snapshot times must be finite"}]
         assert not report.passed
 
     def test_nan_oracle_value_fails(self, monkeypatch):
