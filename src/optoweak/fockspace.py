@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .model import ModelParams, kerr_phase, coherent_amplitude
 
@@ -84,6 +83,8 @@ def named_state(name: str, dim: int) -> np.ndarray:
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     """exp(alpha c^dag - alpha* c), exact within the truncation."""
+    from scipy.linalg import expm  # only the pure-state propagator needs scipy.linalg
+
     c = annihilation_matrix(dim)
     return expm(alpha * c.conj().T - np.conj(alpha) * c)
 
@@ -226,7 +227,8 @@ def wigner(
     The displacement is evaluated exactly (eigenbasis of the anti-Hermitian
     generator, equal to its matrix exponential) inside an enlarged Fock space
     sized for the grid corners; raises TruncationInadequate when the displaced
-    support is not contained even there.
+    support is not contained even there.  Its phases depend on a grid point
+    only through |alpha|, so they are evaluated once per distinct radius.
     """
     state = np.asarray(state, dtype=complex)
     rho = np.outer(state, state.conj()) if state.ndim == 1 else state
@@ -264,13 +266,16 @@ def wigner(
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
     beta = xs[None, :] + 1j * ys[:, None]          # 2 alpha
-    r = np.abs(beta).ravel()
+    radii, at = np.unique(np.abs(beta).ravel(), return_inverse=True)
     ang = np.angle(beta).ravel()
 
     Vs = V[:support, :]
-    phases = np.exp(-1j * np.outer(r, w))          # (points, big)
-    # E[t, j, l] = sum_s V[j,s] e^{-i r_t w_s} V*[l,s]
+    phases = np.exp(-1j * np.outer(radii, w))      # (distinct radii, big)
+    # E[t, j, l] = sum_s V[j,s] e^{-i r_t w_s} V*[l,s], first per distinct radius r_t
     E = np.einsum("js,ts,ls->tjl", Vs, phases, Vs.conj(), optimize=True)
+    # gather into the (j, l, t) C-contiguous layout a full-grid einsum returns:
+    # the einsum below rounds differently on any other layout
+    E = np.ascontiguousarray(E.transpose(1, 2, 0)[:, :, at]).transpose(2, 0, 1)
     j = np.arange(support)
     rot = np.exp(1j * np.outer(ang, j))            # e^{i theta j}
     parity = (-1.0) ** j

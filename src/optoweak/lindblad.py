@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .model import DegeneratePostselection, ModelParams, TRACE_FLOOR
 from .fockspace import annihilation_matrix, position_quadrature, momentum_quadrature
@@ -88,8 +89,6 @@ def _block_generator(k: float, gamma: float, dim: int):
     N^2 x N^2 matrix; the four sit block-diagonally in one CSR matrix that
     acts on :func:`_stack` vectors.
     """
-    from scipy import sparse
-
     number = sparse.diags(np.arange(dim, dtype=complex))
     c = sparse.csr_matrix(annihilation_matrix(dim))
     eye = sparse.identity(dim, dtype=complex)
@@ -152,8 +151,6 @@ def _taylor(generator, stats: dict | None):
     1-norm depend on the generator alone and are taken once; each span only
     picks the degree m and the number of substeps s that minimise m s.
     """
-    from scipy import sparse
-
     n = generator.shape[0]
     mu = generator.trace() / n
     shifted = (generator - mu * sparse.identity(n, dtype=complex, format="csr")).tocsr()

@@ -10,9 +10,12 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _POS_COLOR = (178, 24, 43)    # strong red
 _NEG_COLOR = (33, 102, 172)   # strong blue
+_HEX = [f"{i:02x}" for i in range(256)]
 _WIDTH, _HEIGHT = 660, 460
 _ML, _MR, _MT, _MB = 78, 24, 28, 56
 _HEAD = (
@@ -152,44 +155,51 @@ def line_plot(series, path, xlabel: str = "", ylabel: str = "", title: str = "")
     return _write_svg(parts, path)
 
 
-def _diverging_color(v: float, vmax: float) -> str:
-    # white at zero, saturating toward red (positive) or blue (negative)
+def _diverging_colors(values, vmax: float) -> list[str]:
+    """Hex colours of ``values``: white at zero, saturating toward red
+    (positive) or blue (negative) at |v| = vmax."""
     if vmax <= 0:
         vmax = 1.0
-    t = max(-1.0, min(1.0, v / vmax))
-    target = _POS_COLOR if t >= 0 else _NEG_COLOR
-    a = abs(t)
-    r, g, b = (round(255 + (ch - 255) * a) for ch in target)
-    return f"#{r:02x}{g:02x}{b:02x}"
+    t = np.clip(np.asarray(values, dtype=float) / vmax, -1.0, 1.0)
+    target = np.where((t >= 0)[:, None], _POS_COLOR, _NEG_COLOR)
+    # np.rint, like round, takes halves to even
+    rgb = np.rint(255 + (target - 255) * np.abs(t)[:, None]).astype(int).tolist()
+    return [f"#{_HEX[r]}{_HEX[g]}{_HEX[b]}" for r, g, b in rgb]
 
 
 def heatmap(values, xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") -> Path:
-    """Write a heatmap of ``values[iy, ix]`` with a diverging scale centered at 0."""
+    """Write a heatmap of ``values[iy, ix]`` with a diverging scale centered at 0.
+
+    Raises ValueError when any value is not finite.
+    """
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("heatmap values must all be finite")
     ny, nx = len(ys), len(xs)
     x0, x1, y0, y1 = xs[0], xs[-1], ys[0], ys[-1]
-    vmax = max(abs(v) for row in values for v in row)
+    vmax = float(np.max(np.abs(values)))
     plot_w = _WIDTH - _ML - _MR - 60  # reserve room for the colorbar
     plot_h = _HEIGHT - _MT - _MB
     px = [_fmt(_ML + ix / nx * plot_w) for ix in range(nx)]
     size = f'width="{_fmt(plot_w / nx + 0.5)}" height="{_fmt(plot_h / ny + 0.5)}"'
+    colors = _diverging_colors(values.ravel(), vmax)
     parts: list[str] = []
     for iy in range(ny):
         py = _fmt(_MT + (1 - (iy + 1) / ny) * plot_h)
         parts += [
-            f'<rect x="{x}" y="{py}" {size} fill="{_diverging_color(v, vmax)}"/>'
-            for x, v in zip(px, values[iy])
+            f'<rect x="{x}" y="{py}" {size} fill="{color}"/>'
+            for x, color in zip(px, colors[iy * nx:(iy + 1) * nx])
         ]
     _frame(parts, x0, x1, y0, y1, xlabel, ylabel, title, plot_w, plot_h)
 
     bar_x = _ML + plot_w + 18
     bar_n = 32
-    for i in range(bar_n):
-        frac = 1 - (i + 0.5) / bar_n
-        v = (2 * frac - 1) * vmax
+    bar = [(2 * (1 - (i + 0.5) / bar_n) - 1) * vmax for i in range(bar_n)]
+    for i, color in enumerate(_diverging_colors(bar, vmax)):
         py = _MT + i / bar_n * plot_h
         parts.append(
             f'<rect x="{bar_x}" y="{_fmt(py)}" width="16" height="{_fmt(plot_h / bar_n + 0.5)}" '
-            f'fill="{_diverging_color(v, vmax)}"/>'
+            f'fill="{color}"/>'
         )
     for frac, v in ((0.0, vmax), (0.5, 0.0), (1.0, -vmax)):
         py = _MT + frac * plot_h

@@ -111,6 +111,17 @@ def run_sweep(config: SweepConfig,
     return result
 
 
+def _format_column(column) -> list[str]:
+    """CSV fields of one numeric column, each distinct value formatted once.
+
+    Values are keyed on their bit pattern, so -0.0 stays "-0" beside "0".
+    """
+    keys, at = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                         return_inverse=True)
+    text = [f"{v:.17g}" if math.isfinite(v) else "" for v in keys.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[at].tolist()
+
+
 def _write_csv(path, header: str, columns) -> Path:
     """Write equal-length ``columns`` as rows under ``header``.
 
@@ -118,11 +129,7 @@ def _write_csv(path, header: str, columns) -> Path:
     value gives empty fields; output is byte-stable for identical inputs.
     """
     n = len(columns[0])
-    fields = [
-        [""] * n if column is None
-        else [f"{v:.17g}" if math.isfinite(v) else "" for v in np.asarray(column).tolist()]
-        for column in columns
-    ]
+    fields = [[""] * n if column is None else _format_column(column) for column in columns]
     path = Path(path)
     path.write_text("\n".join([header, *map(",".join, zip(*fields))]) + "\n", encoding="utf-8")
     return path
@@ -175,7 +182,7 @@ def svg_heatmap(grid: fockspace.WignerGrid, path, title: str = "") -> Path:
     from . import svgplot
 
     return svgplot.heatmap(
-        grid.values.tolist(), list(grid.xs()), list(grid.ys()), path,
+        grid.values, grid.xs(), grid.ys(), path,
         xlabel="x", ylabel="y", title=title,
     )
 

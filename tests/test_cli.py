@@ -233,3 +233,16 @@ def test_module_invocation(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "fig4.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # scipy.linalg serves only the pure-state propagator the tests call
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, optoweak.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

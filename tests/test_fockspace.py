@@ -22,6 +22,7 @@ from optoweak.fockspace import (
     fidelity,
     initial_joint_state,
     momentum_quadrature,
+    NAMED_STATES,
     named_state,
     parity_matrix,
     position_quadrature,
@@ -29,6 +30,7 @@ from optoweak.fockspace import (
     wigner,
 )
 from optoweak.model import ModelParams, coherent_amplitude, kerr_phase, mean_q
+from optoweak.sweeps import FIG3_FOCK_DIM, FIG3_RANGE
 
 TWO_PI = 2 * np.pi
 K = 0.005
@@ -311,7 +313,54 @@ class TestNamedState:
             named_state("cat", 6)
 
 
+def full_grid_wigner(state, x_range, y_range) -> np.ndarray:
+    """W(x, y) with the phase matrix and both einsums taken over every grid point."""
+    state = np.asarray(state, dtype=complex)
+    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+    row_mass = np.sqrt(np.sum(np.abs(rho) ** 2, axis=1))
+    support = int(np.nonzero(row_mass > 1e-14 * row_mass.max())[0][-1]) + 1
+    (x_min, x_max, nx), (y_min, y_max, ny) = x_range, y_range
+    r_corner = max(abs(complex(x, y)) for x in (x_min, x_max) for y in (y_min, y_max))
+    reach = r_corner + np.sqrt(support)
+    big = max(rho.shape[0], int(np.ceil(reach**2 + 10 * reach + 10)))
+    c = annihilation_matrix(big)
+    w, V = np.linalg.eigh(1j * (c.conj().T - c))
+    beta = np.linspace(x_min, x_max, nx)[None, :] + 1j * np.linspace(y_min, y_max, ny)[:, None]
+    r = np.abs(beta).ravel()
+    ang = np.angle(beta).ravel()
+    Vs = V[:support, :]
+    phases = np.exp(-1j * np.outer(r, w))
+    E = np.einsum("js,ts,ls->tjl", Vs, phases, Vs.conj(), optimize=True)
+    j = np.arange(support)
+    rot = np.exp(1j * np.outer(ang, j))
+    values = np.einsum(
+        "lj,tj,tjl,tl,l->t", rho[:support, :support], rot, E, rot.conj(), (-1.0) ** j,
+        optimize=True,
+    )
+    return ((2 / np.pi) * values.real).reshape(ny, nx)
+
+
+def mixed_state() -> np.ndarray:
+    rho = 0.7 * np.outer(minus_state(8), minus_state(8).conj())
+    rho[2, 2] = 0.3
+    return rho
+
+
 class TestWigner:
+    @pytest.mark.parametrize(
+        "state, x_range, y_range",
+        [(named_state(name, FIG3_FOCK_DIM), FIG3_RANGE, FIG3_RANGE) for name in NAMED_STATES]
+        + [
+            (named_state("minus-superposition", FIG3_FOCK_DIM), (-2.0, 2.0, 31), (-3.0, 3.0, 41)),
+            (mixed_state(), (-2.0, 2.0, 31), (-3.0, 3.0, 41)),
+        ],
+        ids=[*NAMED_STATES, "asymmetric-grid", "density-matrix"],
+    )
+    def test_bitwise_equal_to_full_grid_evaluation(self, state, x_range, y_range):
+        # phases once per distinct radius must not move a single bit
+        got = wigner(state, x_range, y_range).values
+        assert np.array_equal(got, full_grid_wigner(state, x_range, y_range))
+
     def test_origin_values(self):
         grid_spec = (-4.0, 4.0, 41)
         vac = np.zeros(16, complex)

@@ -6,16 +6,20 @@ import json
 import numpy as np
 import pytest
 
-from optoweak import lindblad, model
+from optoweak import fockspace, lindblad, model
 from optoweak.fockspace import WignerGrid
 from optoweak.lindblad import IntegratorConfig, StepUnstable
 from optoweak.model import ModelParams
 from optoweak.sweeps import (
     CSV_HEADER,
+    FIG3_FOCK_DIM,
+    FIG3_RANGE,
+    FIG3_STATE,
     SUCCESS_FLOOR,
     SweepConfig,
     default_verify_grid,
     emit_csv,
+    _write_csv,
     emit_plot,
     figure,
     read_csv,
@@ -152,6 +156,11 @@ class TestCsv:
         with pytest.raises(OSError, match="cannot write sweep CSV"):
             emit_csv(run_sweep(tiny_config()), tmp_path / "missing" / "s.csv")
 
+    def test_signed_zero_and_non_finite_fields(self, tmp_path):
+        column = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        path = _write_csv(tmp_path / "z.csv", "v", [column])
+        assert path.read_text().splitlines()[1:] == ["0", "-0", "", "", ""]
+
 
 class TestPlots:
     def test_two_polylines_for_two_series(self, tmp_path):
@@ -206,6 +215,36 @@ class TestPlots:
             f'<rect x="244" y="28" {size} fill="#90b2d6"/>',
             f'<rect x="410" y="28" {size} fill="#ecc5ca"/>',
         ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_heatmap_rejects_non_finite_values(self, tmp_path, bad, where):
+        from optoweak import svgplot
+
+        values = np.array([[2.0, 0.5], [-1.0, 0.0]])
+        values.flat[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            svgplot.heatmap(values, [0.0, 1.0], [0.0, 1.0], tmp_path / "h.svg")
+
+    def test_vectorised_colours_match_scalar_formula(self):
+        from optoweak import svgplot
+
+        def scalar_color(v, vmax):
+            if vmax <= 0:
+                vmax = 1.0
+            t = max(-1.0, min(1.0, v / vmax))
+            target = (178, 24, 43) if t >= 0 else (33, 102, 172)
+            r, g, b = (round(255 + (ch - 255) * abs(t)) for ch in target)
+            return f"#{r:02x}{g:02x}{b:02x}"
+
+        state = fockspace.named_state(FIG3_STATE, FIG3_FOCK_DIM)
+        fig3 = fockspace.wigner(state, FIG3_RANGE, FIG3_RANGE).values.ravel().tolist()
+        vmax = max(abs(v) for v in fig3)
+        bar = [(2 * (1 - (i + 0.5) / 32) - 1) * vmax for i in range(32)]
+        ramp = np.linspace(-2.0, 2.0, 4001).tolist() + [0.0, -0.0]  # halves and saturation
+        for values, scale in ((fig3, vmax), (bar, vmax), (ramp, 1.0), ([0.0, -0.0], 0.0)):
+            expected = [scalar_color(v, scale) for v in values]
+            assert svgplot._diverging_colors(values, scale) == expected
 
     def test_identical_calls_write_identical_bytes(self, tmp_path):
         from optoweak import svgplot
