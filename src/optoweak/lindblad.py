@@ -126,18 +126,6 @@ def initial_joint_density(dim: int, theta: float = 0.0) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _check_physicality(rho: np.ndarray, stats: dict | None):
-    trace_drift = abs(np.trace(rho).real - 1.0)
-    if trace_drift > _TRACE_DRIFT_LIMIT:
-        raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
-    if stats is not None:
-        stats["trace_drift"] = max(stats.get("trace_drift", 0.0), trace_drift)
-        herm = np.max(np.abs(rho - rho.conj().T))
-        stats["hermiticity_dev"] = max(stats.get("hermiticity_dev", 0.0), herm)
-        min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-        stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
-
-
 def _count_applications(stats: dict | None, count: int):
     if stats is not None:
         stats["generator_applications"] = stats.get("generator_applications", 0) + count
@@ -205,7 +193,7 @@ def _rk4(generator, dt: float, stats: dict | None):
             v = v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             steps += 1
             if steps % _CHECK_INTERVAL == 0:
-                _check_physicality(_assemble(v), stats)
+                _finalize(_assemble(v), stats)
         _count_applications(stats, 4 * len(sizes))
         return v
 
@@ -213,11 +201,21 @@ def _rk4(generator, dt: float, stats: dict | None):
 
 
 def _finalize(rho, stats):
+    """Check Hermiticity and trace, symmetrize, then record the extremes in
+    ``stats`` (the deviations are those seen before symmetrizing)."""
     deviation = np.max(np.abs(rho - rho.conj().T))
     if deviation > _HERMITICITY_LIMIT:
         raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
-    _check_physicality(rho, stats)  # before symmetrizing, so stats see the drift
-    return (rho + rho.conj().T) / 2
+    trace_drift = abs(np.trace(rho).real - 1.0)
+    if trace_drift > _TRACE_DRIFT_LIMIT:
+        raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
+    rho = (rho + rho.conj().T) / 2
+    if stats is not None:
+        stats["trace_drift"] = max(stats.get("trace_drift", 0.0), trace_drift)
+        stats["hermiticity_dev"] = max(stats.get("hermiticity_dev", 0.0), deviation)
+        min_eig = float(np.linalg.eigvalsh(rho)[0])
+        stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
+    return rho
 
 
 def _snapshots(taus, rho: np.ndarray, stats: dict | None, advance):

@@ -7,7 +7,6 @@ instead of being drawn at zero.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +34,6 @@ def _write_svg(body: list[str], path) -> Path:
     path = Path(path)
     path.write_text("\n".join([_HEAD, *body, "</svg>"]) + "\n", encoding="utf-8")
     return path
-
-
-def _finite(values):
-    return [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
 
 
 def _axis_ticks(lo: float, hi: float, n: int = 5):
@@ -88,21 +83,19 @@ def line_plot(series, path, xlabel: str = "", ylabel: str = "", title: str = "")
     """Write a multi-series line plot.
 
     ``series`` is an iterable of (xs, ys, label, dashed) tuples; NaN samples
-    break the polyline.
+    break the polyline.  Raises ValueError when xs and ys differ in shape.
     """
-    series = list(series)
-    all_x = [v for s in series for v in _finite(s[0])]
-    pairs = [
-        (x, y)
-        for s in series
-        for x, y in zip(s[0], s[1])
-        if math.isfinite(x) and math.isfinite(y)
-    ]
-    if not pairs:
+    series = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), label, dashed)
+              for xs, ys, label, dashed in series]
+    if any(xs.shape != ys.shape for xs, ys, _, _ in series):
+        raise ValueError("each series needs as many ys as xs")
+    masks = [np.isfinite(xs) & np.isfinite(ys) for xs, ys, _, _ in series]
+    if not any(ok.any() for ok in masks):
         raise ValueError("nothing to plot: all samples are undefined")
-    x0, x1 = min(all_x), max(all_x)
-    ys_fin = [y for _, y in pairs]
-    y0, y1 = min(ys_fin), max(ys_fin)
+    all_x = np.concatenate([xs[np.isfinite(xs)] for xs, _, _, _ in series])
+    drawn_y = np.concatenate([ys[ok] for (_, ys, _, _), ok in zip(series, masks)])
+    x0, x1 = float(all_x.min()), float(all_x.max())
+    y0, y1 = float(drawn_y.min()), float(drawn_y.max())
     if x1 == x0:
         x0, x1 = x0 - 1, x1 + 1
     if y1 == y0:
@@ -112,33 +105,20 @@ def line_plot(series, path, xlabel: str = "", ylabel: str = "", title: str = "")
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB
 
-    def to_px(x, y):
-        return (
-            _ML + (x - x0) / (x1 - x0) * plot_w,
-            _MT + (1 - (y - y0) / (y1 - y0)) * plot_h,
-        )
-
     parts: list[str] = []
     _frame(parts, x0, x1, y0, y1, xlabel, ylabel, title, plot_w, plot_h)
 
-    for i, (xs, ys, label, dashed) in enumerate(series):
+    for i, ((xs, ys, label, dashed), ok) in enumerate(zip(series, masks)):
         color = _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="7,4"' if dashed else ""
-        run: list[str] = []
-        runs: list[list[str]] = []
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                px, py = to_px(x, y)
-                run.append(f"{_fmt(px)},{_fmt(py)}")
-            elif run:
-                runs.append(run)
-                run = []
-        if run:
-            runs.append(run)
-        for run in runs:
+        px = (_ML + (xs - x0) / (x1 - x0) * plot_w).tolist()
+        py = (_MT + (1 - (ys - y0) / (y1 - y0)) * plot_h).tolist()
+        edges = np.flatnonzero(np.diff(ok, prepend=False, append=False)).tolist()
+        for start, end in zip(edges[::2], edges[1::2]):
+            run = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px[start:end], py[start:end])]
             if len(run) == 1:
-                px, py = run[0].split(",")
-                parts.append(f'<circle cx="{px}" cy="{py}" r="2" fill="{color}"/>')
+                cx, cy = run[0].split(",")
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
             else:
                 parts.append(
                     f'<polyline points="{" ".join(run)}" fill="none" '
@@ -170,12 +150,15 @@ def _diverging_colors(values, vmax: float) -> list[str]:
 def heatmap(values, xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") -> Path:
     """Write a heatmap of ``values[iy, ix]`` with a diverging scale centered at 0.
 
-    Raises ValueError when any value is not finite.
+    Raises ValueError when any value is not finite or the shape is not
+    (len(ys), len(xs)).
     """
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("heatmap values must all be finite")
     ny, nx = len(ys), len(xs)
+    if values.shape != (ny, nx):
+        raise ValueError(f"heatmap values have shape {values.shape}, not {(ny, nx)}")
     x0, x1, y0, y1 = xs[0], xs[-1], ys[0], ys[-1]
     vmax = float(np.max(np.abs(values)))
     plot_w = _WIDTH - _ML - _MR - 60  # reserve room for the colorbar

@@ -161,10 +161,9 @@ _AXIS_Q = "&#10216;q&#10217;/&#963;"
 _AXIS_P = "&#10216;p&#10217;&#183;2&#963;/&#8463;"
 
 
-def emit_plot(data, path, title: str = "") -> Path:
-    """Render a SweepResult as a line plot or a WignerGrid as a heatmap."""
-    if isinstance(data, fockspace.WignerGrid):
-        return svg_heatmap(data, path, title=title)
+def emit_plot(data: SweepResult, path, title: str = "") -> Path:
+    """Render the observable columns of a SweepResult as a line plot over tau
+    (:func:`svg_heatmap` renders a WignerGrid)."""
     series = []
     if data.q is not None:
         series.append((data.tau, data.q, _AXIS_Q, False))

@@ -24,6 +24,7 @@ from optoweak.sweeps import (
     figure,
     read_csv,
     run_sweep,
+    svg_heatmap,
     verify,
 )
 
@@ -162,7 +163,135 @@ class TestCsv:
         assert path.read_text().splitlines()[1:] == ["0", "-0", "", "", ""]
 
 
+def _per_point_line_plot(series, path, xlabel="", ylabel="", title=""):
+    """The per-sample line_plot that the array version replaced, kept
+    verbatim as the byte reference."""
+    import math
+
+    from optoweak import svgplot
+    from optoweak.svgplot import _HEIGHT, _ML, _MR, _MT, _MB, _PALETTE, _WIDTH, _fmt
+
+    def _finite(values):
+        return [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
+
+    series = list(series)
+    all_x = [v for s in series for v in _finite(s[0])]
+    pairs = [
+        (x, y)
+        for s in series
+        for x, y in zip(s[0], s[1])
+        if math.isfinite(x) and math.isfinite(y)
+    ]
+    if not pairs:
+        raise ValueError("nothing to plot: all samples are undefined")
+    x0, x1 = min(all_x), max(all_x)
+    ys_fin = [y for _, y in pairs]
+    y0, y1 = min(ys_fin), max(ys_fin)
+    if x1 == x0:
+        x0, x1 = x0 - 1, x1 + 1
+    if y1 == y0:
+        y0, y1 = y0 - 1, y1 + 1
+    pad = 0.05 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
+    plot_w = _WIDTH - _ML - _MR
+    plot_h = _HEIGHT - _MT - _MB
+
+    def to_px(x, y):
+        return (
+            _ML + (x - x0) / (x1 - x0) * plot_w,
+            _MT + (1 - (y - y0) / (y1 - y0)) * plot_h,
+        )
+
+    parts: list[str] = []
+    svgplot._frame(parts, x0, x1, y0, y1, xlabel, ylabel, title, plot_w, plot_h)
+
+    for i, (xs, ys, label, dashed) in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        dash = ' stroke-dasharray="7,4"' if dashed else ""
+        run: list[str] = []
+        runs: list[list[str]] = []
+        for x, y in zip(xs, ys):
+            if math.isfinite(x) and math.isfinite(y):
+                px, py = to_px(x, y)
+                run.append(f"{_fmt(px)},{_fmt(py)}")
+            elif run:
+                runs.append(run)
+                run = []
+        if run:
+            runs.append(run)
+        for run in runs:
+            if len(run) == 1:
+                px, py = run[0].split(",")
+                parts.append(f'<circle cx="{px}" cy="{py}" r="2" fill="{color}"/>')
+            else:
+                parts.append(
+                    f'<polyline points="{" ".join(run)}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.5"{dash}/>'
+                )
+        ly = _MT + 16 + 18 * i
+        lx = _ML + plot_w - 150
+        parts.append(
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="1.5"{dash}/>'
+        )
+        parts.append(f'<text x="{lx + 32}" y="{ly}" font-size="12">{label}</text>')
+
+    return svgplot._write_svg(parts, path)
+
+
+def _line_series(case):
+    xs = np.linspace(0.0, 3.0, 40)
+    if case == "nan-gaps":  # one-sample runs at 1, 21 and 39
+        a, b = np.sin(3 * xs), np.cos(2 * xs)
+        a[[0, 2, 10, 11, 20, 22]] = np.nan
+        b[[5, 38]] = np.nan
+        return [(xs, a, "a", False), (xs, b, "b", True)]
+    if case == "flat":
+        return [(xs, np.full_like(xs, 0.25), "flat", False)]
+    if case == "single-x":
+        return [(np.full(7, 2.0), np.linspace(-1.0, 1.0, 7), "x1 == x0", False)]
+    if case == "non-finite":
+        x, y = xs.copy(), np.sin(xs)
+        x[[3, 17, 30]] = [np.nan, np.inf, -np.inf]
+        y[[8, 9, 25, 36, 39]] = [np.inf, np.nan, -np.inf, np.inf, np.nan]
+        # x = 3 has no finite y, yet it still sets the x-range
+        return [(x, y, "a", False), (xs[:30], np.cos(xs[:30]), "b", True)]
+    if case == "all-nan-beside-finite":
+        return [(xs, np.full_like(xs, np.nan), "nan", False), (xs, xs ** 2, "b", True)]
+    from optoweak.sweeps import FIG_DAMPING, _figure_sweep
+
+    undamped = _figure_sweep(theta=0.0, gamma=0.0, observable="q")
+    damped = _figure_sweep(theta=0.0, gamma=FIG_DAMPING, observable="q")
+    return [(undamped.tau, undamped.q, "g0", False), (damped.tau, damped.q, "g", True)]
+
+
 class TestPlots:
+    @pytest.mark.parametrize("case", [
+        "nan-gaps", "flat", "single-x", "non-finite", "all-nan-beside-finite", "fig2",
+    ])
+    def test_line_plot_matches_per_point_reference(self, tmp_path, case):
+        from optoweak import svgplot
+
+        series = _line_series(case)
+        labels = dict(xlabel="x", ylabel="y", title="t")
+        got = svgplot.line_plot(series, tmp_path / "array.svg", **labels).read_bytes()
+        want = _per_point_line_plot(series, tmp_path / "ref.svg", **labels).read_bytes()
+        assert got == want
+
+    def test_line_plot_rejects_mismatched_lengths(self, tmp_path):
+        from optoweak import svgplot
+
+        xs = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="as many ys as xs"):
+            svgplot.line_plot([(xs, np.cos(xs[:4]), "a", False)], tmp_path / "p.svg")
+
+    def test_heatmap_rejects_mismatched_shape(self, tmp_path):
+        from optoweak import svgplot
+
+        values = np.arange(6.0).reshape(3, 2) - 2.5  # (3, 2), but 2 ys by 3 xs
+        with pytest.raises(ValueError, match="shape"):
+            svgplot.heatmap(values, [0.0, 1.0, 2.0], [0.0, 1.0], tmp_path / "h.svg")
+
     def test_two_polylines_for_two_series(self, tmp_path):
         from optoweak import svgplot
 
@@ -191,7 +320,7 @@ class TestPlots:
     def test_heatmap_has_diverging_scale(self, tmp_path):
         values = np.outer(np.linspace(-1, 1, 21), np.ones(21))
         grid = WignerGrid(-1, 1, -1, 1, 21, 21, values)
-        path = emit_plot(grid, tmp_path / "w.svg")
+        path = svg_heatmap(grid, tmp_path / "w.svg")
         text = path.read_text()
         assert "#b2182b" in text       # saturated positive end
         assert "#2166ac" in text       # saturated negative end
