@@ -2,7 +2,7 @@
 
 Closed-form conditioned-mirror observables (:mod:`optoweak.model`),
 truncated-Fock-space machinery and Wigner sampling (:mod:`optoweak.fockspace`),
-an independent Lindblad RK4 oracle (:mod:`optoweak.lindblad`), and sweep /
+an independent exact Lindblad oracle (:mod:`optoweak.lindblad`), and sweep /
 figure / verification tooling (:mod:`optoweak.sweeps`, :mod:`optoweak.cli`).
 """
 

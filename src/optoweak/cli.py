@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     integrator = lindblad.IntegratorConfig
-    dt_help = "RK4 step, validated to (0, 0.01] but unused: the exact oracle takes no step"
+    dt_help = "validated to (0, 0.01] but has no effect: the exact oracle takes no step"
 
     sp = sub.add_parser("sweep", help="tabulate conditioned observables over a tau grid")
     sp.add_argument("--k", type=float, default=sweeps.FIG_COUPLING)
@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
     """The entries of the ``--config`` file as ``--key=value`` flags; a null
-    entry leaves its option at the default."""
+    entry leaves its option at the default, and each other entry must be a
+    JSON string or number."""
     try:
         entries = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -83,6 +84,10 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     unknown = set(entries) - (set(vars(args)) - {"command", "config"})
     if unknown:
         raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    for key, value in entries.items():
+        if isinstance(value, (bool, list, dict)):
+            raise ValueError(f"config entry {key!r} must be a JSON string or number, "
+                             f"not {json.dumps(value)}")
     return [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()
             if value is not None]
 

@@ -81,12 +81,19 @@ def named_state(name: str, dim: int) -> np.ndarray:
     return state
 
 
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """exp(alpha c^dag - alpha* c), exact within the truncation."""
-    from scipy.linalg import expm  # only the pure-state propagator needs scipy.linalg
-
+def _displacement_eigensystem(dim: int):
+    """(w, V) with i(c^dag - c) = V diag(w) V^dag, so that the real-amplitude
+    displacement exp(r (c^dag - c)) is V e^{-i r w} V^dag for every r."""
     c = annihilation_matrix(dim)
-    return expm(alpha * c.conj().T - np.conj(alpha) * c)
+    return np.linalg.eigh(1j * (c.conj().T - c))
+
+
+def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
+    """exp(alpha c^dag - alpha* c), exact within the truncation: R V e^{-i|alpha| w}
+    V^dag R^dag with R = e^{i arg(alpha) c^dag c} rotating the real-amplitude form."""
+    w, V = _displacement_eigensystem(dim)
+    rotated = np.exp(1j * np.angle(alpha) * np.arange(dim))[:, None] * V
+    return (rotated * np.exp(-1j * abs(alpha) * w)) @ rotated.conj().T
 
 
 def initial_joint_state(dim: int, theta: float = 0.0) -> np.ndarray:
@@ -141,20 +148,13 @@ def postselect_pure(joint: np.ndarray, dark_port: bool = True, theta: float = 0.
     return mirror, prob
 
 
-def _normalization(state: np.ndarray) -> float:
-    if state.ndim == 1:
-        return np.vdot(state, state).real
-    return np.trace(state).real
-
-
 def _expectation(state: np.ndarray, observable: np.ndarray) -> float:
     state = np.asarray(state, dtype=complex)
-    norm = _normalization(state)
+    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+    norm = np.trace(rho).real
     if norm <= 0.0:
         raise ValueError("expectation of a zero-norm state is undefined")
-    if state.ndim == 1:
-        return np.vdot(state, observable @ state).real / norm
-    return np.trace(state @ observable).real / norm
+    return np.trace(rho @ observable).real / norm
 
 
 def expectation_q(state: np.ndarray) -> float:
@@ -248,10 +248,8 @@ def wigner(
     if big < rho.shape[0]:
         raise ValueError("internal_dim cannot be below the state dimension")
 
-    # exp(r (c^dag - c)) = V e^{-i r w} V^dag with (w, V) the eigensystem of
-    # i(c^dag - c); only the support x support block is ever needed.
-    c = annihilation_matrix(big)
-    w, V = np.linalg.eigh(1j * (c.conj().T - c))
+    # only the support x support block of each displacement is ever needed
+    w, V = _displacement_eigensystem(big)
 
     # adequacy at the worst grid corner: displaced support columns must not
     # reach the top two levels of the enlarged space

@@ -6,13 +6,12 @@ Evolves
 
 with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c.
 H and C commute with |A><A|, so the four N x N path blocks of rho evolve
-apart under one sparse, time-independent generator.  :func:`oracle_sweep`
+apart under one sparse, time-independent generator, and one propagator
 applies its exact exponential to the stacked blocks by truncated Taylor
-series (Al-Mohy & Higham 2011); :func:`integrate` and
-:func:`integrate_snapshots` step the same generator by fixed-step RK4 as
-the brute-force check.  Every analytic formula in :mod:`optoweak.model` is
-validated against this oracle; nothing here shares code with the closed
-forms.
+series (Al-Mohy & Higham 2011).  :func:`oracle_sweep` postselects the
+evolved states; :func:`integrate` and :func:`integrate_snapshots` return
+them.  Every analytic formula in :mod:`optoweak.model` is validated
+against this oracle; nothing here shares code with the closed forms.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ import numpy as np
 from scipy import sparse
 
 from .model import DegeneratePostselection, ModelParams, TRACE_FLOOR
-from .fockspace import annihilation_matrix, position_quadrature, momentum_quadrature
+from .fockspace import (annihilation_matrix, initial_joint_state, momentum_quadrature,
+                        position_quadrature)
 
-_CHECK_INTERVAL = 100
 _TRACE_DRIFT_LIMIT = 1e-6
 _HERMITICITY_LIMIT = 1e-9
 
@@ -52,9 +51,8 @@ class StepUnstable(Exception):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Oracle settings: the Fock cutoff (>= 8) of every route, and the RK4
-    step dt in (0, 0.01] of :func:`integrate` and :func:`integrate_snapshots`.
-    The exact :func:`oracle_sweep` takes no step, so dt does not affect it."""
+    """Oracle settings: the Fock cutoff (>= 8).  dt is validated to
+    (0, 0.01] but has no effect: the exact propagator takes no step."""
 
     dt: float = 1e-3
     fock_dim: int = 16
@@ -64,18 +62,6 @@ class IntegratorConfig:
             raise ValueError(f"dt={self.dt} outside (0, 0.01]")
         if self.fock_dim < 8:
             raise ValueError(f"fock_dim={self.fock_dim} below the minimum of 8")
-
-
-def build_hamiltonian(params: ModelParams, dim: int) -> np.ndarray:
-    """H / (hbar omega_m) on span{|A>, |B>} (x) Fock(dim); Hermitian by construction."""
-    number = np.diag(np.arange(dim)).astype(complex)
-    arm_a = np.diag([1.0, 0.0])
-    return np.kron(np.eye(2), number) - params.k * np.kron(arm_a, position_quadrature(dim))
-
-
-def collapse_operator(dim: int) -> np.ndarray:
-    """Damping acts on the mirror only: C = I_path (x) c."""
-    return np.kron(np.eye(2), annihilation_matrix(dim))
 
 
 @lru_cache(maxsize=32)
@@ -112,17 +98,10 @@ def _assemble(v: np.ndarray) -> np.ndarray:
     return v.reshape(2, 2, dim, dim).transpose(0, 2, 1, 3).reshape(2 * dim, 2 * dim)
 
 
-def lindblad_rhs(params: ModelParams, rho: np.ndarray) -> np.ndarray:
-    """d rho / d tau for the joint density matrix, through :func:`_block_generator`."""
-    generator = _block_generator(params.k, params.gamma, rho.shape[0] // 2)
-    return _assemble(generator @ _stack(np.asarray(rho, dtype=complex)))
-
-
 def initial_joint_density(dim: int, theta: float = 0.0) -> np.ndarray:
-    """Photon split over both arms (arm-A phase e^{i theta}), mirror in vacuum."""
-    psi = np.zeros(2 * dim, dtype=complex)
-    psi[0] = np.exp(1j * theta) / np.sqrt(2)
-    psi[dim] = 1 / np.sqrt(2)
+    """|psi><psi| of :func:`~optoweak.fockspace.initial_joint_state`: photon
+    split over both arms (arm-A phase e^{i theta}), mirror in vacuum."""
+    psi = initial_joint_state(dim, theta).ravel()
     return np.outer(psi, psi.conj())
 
 
@@ -172,34 +151,6 @@ def _taylor(generator, stats: dict | None):
     return advance
 
 
-def _rk4(generator, dt: float, stats: dict | None):
-    """advance(v, span) for :func:`_snapshots`: fixed RK4 steps of ``dt`` on
-    the stacked blocks plus one shortened landing step, with physicality
-    checked every 100 steps."""
-    steps = 0
-
-    def advance(v, span):
-        nonlocal steps
-        n_full = int(np.floor(span / dt + 1e-12))
-        remainder = span - n_full * dt
-        sizes = [dt] * n_full
-        if remainder > 1e-12:
-            sizes.append(remainder)
-        for h in sizes:
-            k1 = generator @ v
-            k2 = generator @ (v + (0.5 * h) * k1)
-            k3 = generator @ (v + (0.5 * h) * k2)
-            k4 = generator @ (v + h * k3)
-            v = v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            steps += 1
-            if steps % _CHECK_INTERVAL == 0:
-                _finalize(_assemble(v), stats)
-        _count_applications(stats, 4 * len(sizes))
-        return v
-
-    return advance
-
-
 def _finalize(rho, stats):
     """Check Hermiticity and trace, symmetrize, then record the extremes in
     ``stats`` (the deviations are those seen before symmetrizing)."""
@@ -241,15 +192,7 @@ def integrate(
     initial: np.ndarray | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
-    """RK4-evolve the joint density matrix from tau=0 to tau_end.
-
-    The single-snapshot case of :func:`integrate_snapshots`.  ``initial``
-    defaults to the split photon (with the configured theta at the source)
-    and the mirror in vacuum.  Physicality is checked every 100 steps and
-    once at the end; the result is symmetrized after asserting the
-    Hermiticity drift is below 1e-9.  Pass a dict as ``stats`` to collect the
-    worst trace drift, Hermiticity deviation and minimum eigenvalue seen.
-    """
+    """The joint density matrix at tau_end: the one-time case of :func:`integrate_snapshots`."""
     return integrate_snapshots(params, [tau_end], config, initial, stats)[0]
 
 
@@ -260,17 +203,20 @@ def integrate_snapshots(
     initial: np.ndarray | None = None,
     stats: dict | None = None,
 ) -> list[np.ndarray]:
-    """RK4 states at each requested time, from a single forward pass.
+    """The joint density matrix at each time of ``taus`` (finite,
+    non-decreasing, non-negative), from one exact forward pass: the
+    snapshots :func:`oracle_sweep` postselects.
 
-    The brute-force check of the exact :func:`oracle_sweep`, stepping on the
-    same block generator.  ``taus`` must be non-decreasing and non-negative.
-    Each snapshot is symmetrized after its Hermiticity drift is asserted
-    below 1e-9.
+    ``initial`` defaults to the split photon (with the configured theta at
+    the source) and the mirror in vacuum.  Each snapshot is symmetrized
+    after its Hermiticity drift is asserted below 1e-9.  Pass a dict as
+    ``stats`` to collect the worst trace drift, Hermiticity deviation and
+    minimum eigenvalue seen, and the number of generator applications.
     """
     config = config or IntegratorConfig()
     rho = initial_joint_density(config.fock_dim, params.theta) if initial is None else np.asarray(initial, dtype=complex)
     generator = _block_generator(params.k, params.gamma, rho.shape[0] // 2)
-    return list(_snapshots(taus, rho, stats, _rk4(generator, config.dt, stats)))
+    return list(_snapshots(taus, rho, stats, _taylor(generator, stats)))
 
 
 def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0.0):

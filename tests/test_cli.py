@@ -197,7 +197,11 @@ class TestCliErrors:
             (["wigner"], {"state": "cat"}, "invalid choice: 'cat'"),
             (["sweep"], {"steps": 3.5}, "argument --steps: invalid int value: '3.5'"),
             (["sweep"], {"steps": "three"}, "argument --steps: invalid int value: 'three'"),
-            (["sweep"], {"k": True}, "argument --k: invalid float value: 'True'"),
+            (["sweep"], {"k": True}, "config entry 'k' must be a JSON string or number, not true"),
+            (["sweep"], {"plot": False, "steps": 3, "tau_end": 1.0},
+             "config entry 'plot' must be a JSON string or number, not false"),
+            (["sweep"], {"out": ["a", "b"]},
+             """config entry 'out' must be a JSON string or number, not ["a", "b"]"""),
             (["sweep"], {"observable": "x"}, "argument --observable: invalid choice: 'x'"),
             (["sweep"], 3, "must hold a JSON object"),
             (["sweep", "--out", "nodir/s.csv"], None, "cannot write sweep CSV to nodir/s.csv"),
@@ -206,6 +210,7 @@ class TestCliErrors:
         ],
         ids=["sweep-k", "sweep-tau-end-inf", "verify-dt", "wigner-range", "wigner-config-state",
              "config-steps-float", "config-steps-word", "config-k-bool",
+             "config-plot-false", "config-out-list",
              "config-observable", "config-not-object",
              "sweep-unwritable", "wigner-unwritable", "figure-unwritable"],
     )
@@ -236,7 +241,7 @@ def test_module_invocation(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_linalg():
-    # scipy.linalg serves only the pure-state propagator the tests call
+    # the package imports no scipy.linalg; only the tests use it, as a reference
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, optoweak.cli; print('scipy.linalg' in sys.modules)"],

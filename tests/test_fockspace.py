@@ -121,6 +121,13 @@ class TestDisplacement:
         vac[0] = 1
         assert np.allclose(d @ vac, coherent_vector(alpha, 32), atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [24, 32, 64])
+    @pytest.mark.parametrize("alpha", [0.3 + 0.2j, -1.1j, 2.5, 0.0, 1e-9])
+    def test_matches_matrix_exponential(self, alpha, dim):
+        c = annihilation_matrix(dim)
+        reference = expm(alpha * c.conj().T - np.conj(alpha) * c)
+        assert np.max(np.abs(displacement_matrix(alpha, dim) - reference)) <= 1e-13
+
     def test_matches_laguerre_matrix_elements(self):
         beta = 0.8 + 0.45j
         d = displacement_matrix(beta, 64)

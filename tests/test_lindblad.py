@@ -1,34 +1,31 @@
-"""Master-equation integrator: generator structure, physicality along the
-flow, agreement with the exact undamped path and the damped closed forms,
-and fourth-order step convergence."""
+"""Master-equation oracle: the block generator against the dense form,
+physicality along the flow, agreement with the exact undamped path and the
+damped closed forms, and the one propagator against two references it
+shares no code with (a dense Liouvillian exponential and expm_multiply)."""
 
 import numpy as np
 import pytest
 
+import dense_reference as dr
 import literal_forms as lf
 from optoweak.fockspace import (
     coherent_vector,
     evolve_pure,
     fidelity,
     initial_joint_state,
-    momentum_quadrature,
-    position_quadrature,
-    postselect_pure,
 )
 from optoweak.lindblad import (
     IntegratorConfig,
     StepUnstable,
-    build_hamiltonian,
-    collapse_operator,
     initial_joint_density,
     integrate,
     integrate_snapshots,
-    lindblad_rhs,
     oracle_mean_p,
     oracle_mean_q,
     oracle_sweep,
     oracle_sweeps,
     postselect_density,
+    _assemble,
     _block_generator,
     _stack,
     _taylor,
@@ -50,24 +47,16 @@ VERIFY_TAUS = np.linspace(0.0, 4 * np.pi, 50)   # the default ``verify`` grid
 
 
 @pytest.fixture(scope="module")
-def rk4_verify_snapshots():
-    """RK4 snapshots at the default step on the default ``verify`` grid, per gamma."""
-    return {gamma: integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS)
+def dense_step_propagators():
+    """The dense reference's exp(step L) for one step of the default
+    ``verify`` grid at Fock 16, per gamma."""
+    return {gamma: dr.propagator(K, gamma, 16, VERIFY_TAUS[1])
             for gamma in (0.0, 0.005)}
 
 
-def rk4_moments(snapshots, theta):
-    """Conditioned q, p and dark-port probability of RK4 snapshots, postselected
-    at ``theta`` (NaN moments where the port cannot fire)."""
-    dim = snapshots[0].shape[0] // 2
-    xop, pop = position_quadrature(dim), momentum_quadrature(dim)
-    q, p, prob = (np.full(len(snapshots), np.nan) for _ in range(3))
-    for i, rho in enumerate(snapshots):
-        mirror, prob[i] = postselect_density(rho, theta=theta)
-        if prob[i] > 1e-12:
-            q[i] = np.trace(mirror @ xop).real / prob[i]
-            p[i] = np.trace(mirror @ pop).real / prob[i]
-    return q, p, prob
+def block_rhs(k, gamma, rho):
+    """d rho / d tau through the package's block generator."""
+    return _assemble(_block_generator(k, gamma, rho.shape[0] // 2) @ _stack(rho))
 
 
 def analytic_joint_density(params, tau, dim):
@@ -91,52 +80,55 @@ def analytic_joint_density(params, tau, dim):
 
 class TestGenerator:
     def test_hamiltonian_is_hermitian(self):
-        h = build_hamiltonian(ModelParams(k=0.2), 12)
+        h = dr.hamiltonian(0.2, 12)
         assert np.array_equal(h, h.conj().T)
 
     def test_uncoupled_hamiltonian_is_diagonal(self):
-        h = build_hamiltonian(ModelParams(k=1e-30), 8)
+        h = dr.hamiltonian(1e-30, 8)
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) < 1e-28
         assert np.allclose(np.diag(h).real, np.kron([1, 1], np.arange(8)))
 
     def test_coupling_matrix_element(self):
-        h = build_hamiltonian(ModelParams(k=K), 8)
+        h = dr.hamiltonian(K, 8)
         assert h[1, 0] == pytest.approx(-K)   # arm-A block, one-phonon row
 
     def test_rhs_is_traceless(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = m + m.conj().T
-        d = lindblad_rhs(ModelParams(k=K, gamma=0.3), rho)
+        d = block_rhs(K, 0.3, rho)
         assert abs(np.trace(d)) < 1e-12 * np.max(np.abs(rho))
 
     def test_rhs_preserves_hermiticity(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = m + m.conj().T
-        d = lindblad_rhs(ModelParams(k=K, gamma=0.1), rho)
+        d = block_rhs(K, 0.1, rho)
         assert np.max(np.abs(d - d.conj().T)) < 1e-12 * np.max(np.abs(d))
 
     def test_rhs_without_damping_is_a_commutator(self):
-        p = ModelParams(k=K)
         rho = initial_joint_density(8)
-        h = build_hamiltonian(p, 8)
-        assert np.allclose(lindblad_rhs(p, rho), -1j * (h @ rho - rho @ h), atol=1e-15)
+        h = dr.hamiltonian(K, 8)
+        assert np.allclose(block_rhs(K, 0.0, rho), -1j * (h @ rho - rho @ h), atol=1e-15)
 
     def test_rhs_with_damping_matches_the_dense_form(self):
         rng = np.random.default_rng(9)
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = m + m.conj().T
-        p = ModelParams(k=0.2, gamma=0.3)
-        h, c = build_hamiltonian(p, 8), collapse_operator(8)
-        cdc = c.conj().T @ c
-        dense = (-1j * (h @ rho - rho @ h)
-                 + p.gamma * (c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)))
-        assert np.max(np.abs(lindblad_rhs(p, rho) - dense)) < 1e-12 * np.max(np.abs(dense))
+        dense = dr.rhs(0.2, 0.3, rho)
+        assert np.max(np.abs(block_rhs(0.2, 0.3, rho) - dense)) < 1e-12 * np.max(np.abs(dense))
+
+    def test_dense_liouvillian_matches_the_dense_form(self):
+        rng = np.random.default_rng(10)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = m + m.conj().T
+        dense = dr.rhs(0.2, 0.3, rho)
+        vectorised = (dr.liouvillian(0.2, 0.3, 8) @ rho.ravel()).reshape(16, 16)
+        assert np.max(np.abs(vectorised - dense)) < 1e-12 * np.max(np.abs(dense))
 
     def test_collapse_operator_acts_per_arm(self):
-        c = collapse_operator(3)
+        c = dr.collapse(3)
         assert c.shape == (6, 6)
         assert c[0, 1] == 1.0 and c[3, 4] == 1.0 and np.abs(c[:3, 3:]).max() == 0
 
@@ -196,13 +188,6 @@ class TestIntegrate:
         assert stats["hermiticity_dev"] < 1e-12
         assert stats["min_eigenvalue"] > -1e-10
 
-    def test_four_generator_applications_per_rk4_step(self):
-        # spans 0, 0.105 and 0.095 at dt = 0.01: 0, 10 + 1 and 9 + 1 steps
-        stats = {}
-        integrate_snapshots(ModelParams(k=K, gamma=0.005), [0.0, 0.105, 0.2],
-                            IntegratorConfig(dt=0.01, fock_dim=8), stats=stats)
-        assert stats["generator_applications"] == 4 * 21
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.02)
@@ -212,18 +197,6 @@ class TestIntegrate:
             IntegratorConfig(fock_dim=4)
         with pytest.raises(TypeError):
             IntegratorConfig(method="euler")
-
-    def test_fourth_order_convergence(self):
-        # Frobenius error against a fine-step reference falls 16x per halving
-        p = ModelParams(k=0.2, gamma=0.02)
-        dims = IntegratorConfig(dt=1.25e-3, fock_dim=24)
-        reference = integrate(p, np.pi, dims)
-        errors = {}
-        for dt in (1e-2, 5e-3, 2.5e-3):
-            rho = integrate(p, np.pi, IntegratorConfig(dt=dt, fock_dim=24))
-            errors[dt] = np.linalg.norm(rho - reference)
-        assert 4 < errors[1e-2] / errors[5e-3] < 64
-        assert 4 < errors[5e-3] / errors[2.5e-3] < 64
 
 
 class TestPostselectDensity:
@@ -300,26 +273,18 @@ class TestOracleObservables:
         assert np.isnan(q[0]) and np.isnan(pmom[0]) and prob[0] < 1e-12
         assert np.isfinite(q[1])
 
-    def test_halving_the_step_barely_moves_the_answer(self, rk4_verify_snapshots):
-        # fixed-step RK4 truncation error is far below the comparison tolerances
-        for gamma, theta in ((0.0, 0.0), (0.005, 0.001)):
-            q_coarse, _, prob = rk4_moments(rk4_verify_snapshots[gamma], theta)
-            fine = integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS,
-                                       IntegratorConfig(dt=5e-4))
-            q_fine, _, _ = rk4_moments(fine, theta)
-            live = prob > 1e-12
-            assert np.nanmax(np.abs(q_coarse[live] - q_fine[live])) < 1e-7
-
-    def test_rk4_agrees_with_the_exact_route(self, rk4_verify_snapshots):
+    def test_dense_reference_agrees_with_the_exact_route(self, dense_step_propagators):
         for gamma in (0.0, 0.005):
             for theta in (0.0, 0.001, -0.001):
                 exact = oracle_sweep(ModelParams(k=K, gamma=gamma, theta=theta), VERIFY_TAUS)
-                rk4 = rk4_moments(rk4_verify_snapshots[gamma], theta)
+                states = dr.evolve(dense_step_propagators[gamma],
+                                   dr.initial_density(16, theta), VERIFY_TAUS.size)
+                dense = dr.dark_port_moments(states)
                 live = exact[2] > 1e-12
-                assert np.array_equal(live, rk4[2] > 1e-12)
-                assert np.max(np.abs(rk4[2] - exact[2])) < 1e-7
-                for rk4_vals, exact_vals in zip(rk4[:2], exact[:2]):
-                    assert np.max(np.abs(rk4_vals[live] - exact_vals[live])) < 1e-7
+                assert np.array_equal(live, dense[2] > 1e-12)
+                assert np.max(np.abs(dense[2] - exact[2])) < 1e-7
+                for dense_vals, exact_vals in zip(dense[:2], exact[:2]):
+                    assert np.max(np.abs(dense_vals[live] - exact_vals[live])) < 1e-7
 
     @pytest.mark.parametrize("taus", [
         [0.3, 0.35, 1.9, 6.0, 12.5],
@@ -361,9 +326,10 @@ class TestTaylorPropagator:
 
     def test_generator_applications_on_the_verify_grid(self):
         # expm_multiply made 637 products for the same 50 snapshots
-        stats = {}
-        oracle_sweep(ModelParams(k=K, gamma=0.005), VERIFY_TAUS, stats=stats)
-        assert stats["generator_applications"] == 637
+        for evolve in (oracle_sweep, integrate_snapshots):
+            stats = {}
+            evolve(ModelParams(k=K, gamma=0.005), VERIFY_TAUS, stats=stats)
+            assert stats["generator_applications"] == 637, evolve.__name__
 
 
 @pytest.mark.filterwarnings("error")
@@ -373,7 +339,7 @@ class TestTaylorPropagator:
     lambda: oracle_sweeps([ModelParams(k=K)], [-np.inf, 0.5]),
     lambda: integrate_snapshots(ModelParams(k=K), [np.nan]),
     lambda: integrate(ModelParams(k=K), np.inf, IntegratorConfig(fock_dim=8)),
-], ids=["exact-nan", "exact-inf", "exact-minus-inf", "rk4-nan", "rk4-inf"])
+], ids=["exact-nan", "exact-inf", "exact-minus-inf", "snapshots-nan", "integrate-inf"])
 def test_non_finite_snapshot_time_is_rejected(evolve):
     with pytest.raises(ValueError, match="snapshot times must be finite"):
         evolve()
