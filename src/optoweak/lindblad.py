@@ -6,11 +6,12 @@ Evolves
 
 with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c.
 H and C commute with |A><A|, so the four N x N path blocks of rho evolve
-apart under one sparse, time-independent generator, and one propagator
-applies its exact exponential to the stacked blocks by truncated Taylor
-series (Al-Mohy & Higham 2011).  :func:`oracle_sweep` postselects the
-evolved states; :func:`integrate` and :func:`integrate_snapshots` return
-them.  Every analytic formula in :mod:`optoweak.model` is validated
+apart under one time-independent generator, held as its six non-zero
+diagonals in numpy arrays, and one propagator applies its exact
+exponential to the stacked blocks by truncated Taylor series (Al-Mohy &
+Higham 2011).  :func:`oracle_sweep` postselects the evolved states;
+:func:`integrate` and :func:`integrate_snapshots` return them.  Every
+analytic formula in :mod:`optoweak.model` is validated
 against this oracle; nothing here shares code with the closed forms.
 """
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .model import DegeneratePostselection, ModelParams, TRACE_FLOOR
 from .fockspace import (annihilation_matrix, initial_joint_state, momentum_quadrature,
@@ -65,25 +65,66 @@ class IntegratorConfig:
 
 
 @lru_cache(maxsize=32)
-def _block_generator(k: float, gamma: float, dim: int):
-    """Sparse generator of the stacked blocks AA, AB, BA, BB of the joint rho.
+def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
+    """Generator of the stacked blocks AA, AB, BA, BB of the joint rho, as
+    its six non-zero diagonals.
 
     H and C commute with |A><A|, so each N x N block rho_ij evolves on its
     own under -i (H_i rho_ij - rho_ij H_j) + gamma (c rho_ij c^dag -
-    (n rho_ij + rho_ij n)/2), with H_A = n - k x and H_B = n.  Row-major
-    vectorisation (vec(X Y Z) = (X (x) Z^T) vec Y) turns each block into an
-    N^2 x N^2 matrix; the four sit block-diagonally in one CSR matrix that
-    acts on :func:`_stack` vectors.
+    (n rho_ij + rho_ij n)/2), with H_A = n - k x and H_B = n.  On the
+    row-major :func:`_stack` vector, entry (l, r) of a block meets only
+    itself (offset 0), (l -+ 1, r) through x on the left of an arm-A row
+    (offsets -+N), (l, r -+ 1) through x on the right of an arm-A column
+    (offsets -+1), and (l + 1, r + 1) through the jump c rho c^dag (offset
+    N + 1).  Returns {d: c_d} with (L v)[p] = sum_d c_d[p] v[p + d]; each
+    c_d is zero wherever p + d leaves the block of p.
     """
-    number = sparse.diags(np.arange(dim, dtype=complex))
-    c = sparse.csr_matrix(annihilation_matrix(dim))
-    eye = sparse.identity(dim, dtype=complex)
-    arms = (number - k * sparse.csr_matrix(position_quadrature(dim)), number)
-    damping = gamma * (sparse.kron(c, c.conj())
-                       - 0.5 * (sparse.kron(number, eye) + sparse.kron(eye, number)))
-    blocks = [-1j * (sparse.kron(h_left, eye) - sparse.kron(eye, h_right.T)) + damping
-              for h_left in arms for h_right in arms]
-    return sparse.block_diag(blocks, format="csr")
+    c = np.append(np.diagonal(annihilation_matrix(dim), 1), 0)   # c[l, l + 1]
+    x = position_quadrature(dim)                                  # real symmetric
+    up = np.append(np.diagonal(x, 1), 0)                          # x[l, l + 1]
+    down = np.insert(np.diagonal(x, -1), 0, 0)                    # x[l, l - 1]
+    n = np.arange(dim)
+    left_a = np.array([1, 1, 0, 0])[:, None, None]                # blocks AA, AB, BA, BB
+    right_a = np.array([1, 0, 1, 0])[:, None, None]
+    diagonals = {
+        -dim: left_a * (1j * k * down)[:, None],
+        -1: right_a * (-1j * k * down),
+        0: -1j * (n[:, None] - n) - gamma * (n[:, None] + n) / 2,
+        1: right_a * (-1j * k * up),
+        dim: left_a * (1j * k * up)[:, None],
+        dim + 1: gamma * (c[:, None] * c.conj()),
+    }
+    generator = {d: np.broadcast_to(a, (4, dim, dim)).astype(complex).ravel()
+                 for d, a in diagonals.items()}
+    for coefficients in generator.values():
+        coefficients.flags.writeable = False   # the cache hands them to every caller
+    return generator
+
+
+def _product(diagonals: dict[int, np.ndarray]):
+    """v -> L v for L given as {d: c_d} (see :func:`_block_generator`).
+
+    The 0-diagonal writes one buffer, which the next call overwrites; each
+    other diagonal adds into it between its first and last non-zero
+    coefficient.
+    """
+    n = diagonals[0].size
+    product, scratch = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    terms = []
+    for d, coefficients in sorted(diagonals.items()):
+        nonzero = np.flatnonzero(coefficients)
+        if d and nonzero.size:
+            a, b = nonzero[0], nonzero[-1] + 1
+            terms.append((coefficients[a:b], a + d, b + d, scratch[a:b], product[a:b]))
+
+    def apply(v):
+        np.multiply(diagonals[0], v, out=product)
+        for coefficients, start, stop, part, rows in terms:
+            np.multiply(coefficients, v[start:stop], out=part)
+            rows += part
+        return product
+
+    return apply
 
 
 def _stack(rho: np.ndarray) -> np.ndarray:
@@ -110,18 +151,31 @@ def _count_applications(stats: dict | None, count: int):
         stats["generator_applications"] = stats.get("generator_applications", 0) + count
 
 
-def _taylor(generator, stats: dict | None):
+def _shift(generator: dict[int, np.ndarray]):
+    """The trace shift mu = tr L / n (the mean of the 0-diagonal), the
+    diagonals of L - mu I, and its exact 1-norm: the largest column sum of
+    the shifted |c_d|, each column summed in row order."""
+    mu = generator[0].mean()
+    shifted = {**generator, 0: generator[0] - mu}
+    n = generator[0].size
+    column_sums = np.zeros(n)
+    for d in sorted(shifted, reverse=True):
+        a, b = max(0, -d), min(n, n - d)
+        column_sums[a + d:b + d] += np.abs(shifted[d][a:b])
+    return mu, shifted, column_sums.max()
+
+
+def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
     """advance(v, span) for :func:`_snapshots`: exp(span L) v by truncated
     Taylor series, algorithm 3.2 of Al-Mohy & Higham (2011).
 
-    The trace shift mu = tr L / n, the shifted CSR L - mu I and its exact
-    1-norm depend on the generator alone and are taken once; each span only
-    picks the degree m and the number of substeps s that minimise m s.
+    The trace shift, the shifted diagonals and their exact 1-norm
+    (:func:`_shift`) depend on the generator alone and are taken once; each
+    span only picks the degree m and the number of substeps s that
+    minimise m s.
     """
-    n = generator.shape[0]
-    mu = generator.trace() / n
-    shifted = (generator - mu * sparse.identity(n, dtype=complex, format="csr")).tocsr()
-    norm = abs(shifted).sum(axis=0).max()
+    mu, shifted, norm = _shift(generator)
+    apply = _product(shifted)
     degrees = np.fromiter(_THETA.keys(), dtype=int)
     thetas = np.fromiter(_THETA.values(), dtype=float)
 
@@ -137,7 +191,7 @@ def _taylor(generator, stats: dict | None):
             term = v
             c1 = np.max(np.abs(term))
             for j in range(m):
-                term = (span / (s * (j + 1))) * (shifted @ term)
+                term = (span / (s * (j + 1))) * apply(term)
                 applications += 1
                 c2 = np.max(np.abs(term))
                 v = v + term

@@ -112,35 +112,39 @@ def run_sweep(config: SweepConfig,
 
 
 def _format_column(column) -> list[str]:
-    """CSV fields of one numeric column, each distinct value formatted once.
+    """CSV fields of one numeric column: 17 significant digits, "-0" beside
+    "0", and an empty field for a non-finite value."""
+    return [f"{v:.17g}" if math.isfinite(v) else ""
+            for v in np.asarray(column, dtype=np.float64).tolist()]
 
-    Values are keyed on their bit pattern, so -0.0 stays "-0" beside "0".
-    """
+
+def _format_repeating(column) -> list[str]:
+    """:func:`_format_column` for a column that repeats values (a grid):
+    each distinct value is formatted once, keyed on its bit pattern so that
+    -0.0 stays apart from 0.0."""
     keys, at = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
                          return_inverse=True)
-    text = [f"{v:.17g}" if math.isfinite(v) else "" for v in keys.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[at].tolist()
+    return np.array(_format_column(keys.view(np.float64)), dtype=object)[at].tolist()
 
 
 def _write_csv(path, header: str, columns) -> Path:
-    """Write equal-length ``columns`` as rows under ``header``.
-
-    Numbers carry 17 significant digits; a None column or a non-finite
-    value gives empty fields; output is byte-stable for identical inputs.
-    """
-    n = len(columns[0])
-    fields = [[""] * n if column is None else _format_column(column) for column in columns]
+    """Write equal-length ``columns`` of CSV fields as rows under ``header``;
+    output is byte-stable for identical inputs."""
     path = Path(path)
-    path.write_text("\n".join([header, *map(",".join, zip(*fields))]) + "\n", encoding="utf-8")
+    path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n", encoding="utf-8")
     return path
 
 
 def emit_csv(result: SweepResult, path) -> Path:
-    """Write ``tau,q_over_sigma,p_dimensionless,success_prob`` rows in the
-    ``_write_csv`` format."""
+    """Write ``tau,q_over_sigma,p_dimensionless,success_prob`` rows of
+    :func:`_format_column` fields; an observable not requested gives empty
+    fields."""
     path = Path(path)
+    n = len(result.tau)
+    columns = [[""] * n if column is None else _format_column(column)
+               for column in (result.tau, result.q, result.p, result.success_prob)]
     try:
-        return _write_csv(path, CSV_HEADER, [result.tau, result.q, result.p, result.success_prob])
+        return _write_csv(path, CSV_HEADER, columns)
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 
@@ -204,7 +208,9 @@ def figure(name: str, out_dir) -> list[Path]:
     if name == "fig3":
         state = fockspace.named_state(FIG3_STATE, FIG3_FOCK_DIM)
         grid = fockspace.wigner(state, FIG3_RANGE, FIG3_RANGE)
+        # a grid symmetric about the origin: the axes and W repeat values
         columns = [np.tile(grid.xs(), grid.ny), np.repeat(grid.ys(), grid.nx), grid.values.ravel()]
+        columns = [_format_repeating(column) for column in columns]
         written.append(_write_csv(out / "fig3.csv", "x,y,wigner", columns))
         written.append(svg_heatmap(grid, out / "fig3.svg", title="Wigner function, (|0&#10217;-|1&#10217;)/&#8730;2"))
         return written

@@ -240,14 +240,21 @@ def test_module_invocation(tmp_path):
     assert (tmp_path / "fig4.csv").exists()
 
 
-def test_cli_import_leaves_out_scipy_linalg():
-    # the package imports no scipy.linalg; only the tests use it, as a reference
+def test_cli_import_leaves_out_scipy():
+    # the package needs numpy alone; only the tests use scipy, as a reference
+    script = (
+        "import sys, optoweak.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "from optoweak.lindblad import IntegratorConfig, oracle_sweep\n"
+        "from optoweak.model import ModelParams\n"
+        "oracle_sweep(ModelParams(k=0.005, gamma=0.005), [0.0, 1.0], IntegratorConfig(fock_dim=8))\n"
+        "print('scipy' in sys.modules)\n"
+    )
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, optoweak.cli; print('scipy.linalg' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "False"]

@@ -1,5 +1,5 @@
-"""The package's scipy footprint: one sparse generator, and no dense or
-sparse matrix functions (the tests import those as references)."""
+"""The package imports no scipy: numpy is its only runtime dependency, and
+the tests import scipy's matrix functions as independent references."""
 
 import ast
 from pathlib import Path
@@ -21,8 +21,6 @@ def scipy_imports(path):
     return {name for name in names if name == "scipy" or name.startswith("scipy.")}
 
 
-def test_only_lindblad_imports_scipy_and_only_scipy_sparse():
+def test_no_module_imports_scipy():
     found = {path.name: scipy_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: modules for name, modules in found.items() if modules} == {
-        "lindblad.py": {"scipy.sparse"}
-    }
+    assert {name: modules for name, modules in found.items() if modules} == {}

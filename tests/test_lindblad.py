@@ -27,6 +27,8 @@ from optoweak.lindblad import (
     postselect_density,
     _assemble,
     _block_generator,
+    _product,
+    _shift,
     _stack,
     _taylor,
 )
@@ -56,7 +58,7 @@ def dense_step_propagators():
 
 def block_rhs(k, gamma, rho):
     """d rho / d tau through the package's block generator."""
-    return _assemble(_block_generator(k, gamma, rho.shape[0] // 2) @ _stack(rho))
+    return _assemble(_product(_block_generator(k, gamma, rho.shape[0] // 2))(_stack(rho)))
 
 
 def analytic_joint_density(params, tau, dim):
@@ -126,6 +128,18 @@ class TestGenerator:
         dense = dr.rhs(0.2, 0.3, rho)
         vectorised = (dr.liouvillian(0.2, 0.3, 8) @ rho.ravel()).reshape(16, 16)
         assert np.max(np.abs(vectorised - dense)) < 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    @pytest.mark.parametrize("k, gamma", [(K, 0.0), (0.2, 0.3)])
+    def test_trace_shift_and_norm_match_the_dense_liouvillian(self, dim, k, gamma):
+        # the stacked blocks permute vec(rho), which keeps the trace and the
+        # column sums of the (block-diagonal) Liouvillian
+        mu, _, norm = _shift(_block_generator(k, gamma, dim))
+        dense = dr.liouvillian(k, gamma, dim)
+        dense_mu = np.trace(dense) / dense.shape[0]
+        dense_norm = np.abs(dense - dense_mu * np.eye(dense.shape[0])).sum(axis=0).max()
+        assert abs(mu - dense_mu) <= 1e-15 * abs(dense_mu)
+        assert abs(norm - dense_norm) <= 1e-15 * dense_norm
 
     def test_collapse_operator_acts_per_arm(self):
         c = dr.collapse(3)
@@ -314,14 +328,18 @@ class TestTaylorPropagator:
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
     def test_matches_expm_multiply(self, dim, k, gamma):
+        from scipy import sparse
         from scipy.sparse.linalg import expm_multiply
 
         generator = _block_generator(k, gamma, dim)
+        n = generator[0].size
+        matrix = sparse.diags([c[max(0, -d):n - max(0, d)] for d, c in generator.items()],
+                              list(generator), format="csr")
         v = _stack(initial_joint_density(dim, theta=0.3))
         advance = _taylor(generator, None)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
-            reference = expm_multiply(span * generator, v)
+            reference = expm_multiply(span * matrix, v)
             assert np.max(np.abs(advance(v, span) - reference)) <= 1e-13, span
 
     def test_generator_applications_on_the_verify_grid(self):

@@ -19,6 +19,8 @@ from optoweak.sweeps import (
     SweepConfig,
     default_verify_grid,
     emit_csv,
+    _format_column,
+    _format_repeating,
     _write_csv,
     emit_plot,
     figure,
@@ -159,8 +161,14 @@ class TestCsv:
 
     def test_signed_zero_and_non_finite_fields(self, tmp_path):
         column = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
-        path = _write_csv(tmp_path / "z.csv", "v", [column])
+        path = _write_csv(tmp_path / "z.csv", "v", [_format_column(column)])
         assert path.read_text().splitlines()[1:] == ["0", "-0", "", "", ""]
+
+    def test_deduplicated_fields_equal_direct_ones(self):
+        column = np.array([0.0, -0.0, np.nan, 0.1, np.inf, -np.inf, -0.0, 0.1, np.nan, 0.0, 1 / 3])
+        assert _format_repeating(column) == _format_column(column) == [
+            "0", "-0", "", "0.10000000000000001", "", "", "-0", "0.10000000000000001", "", "0",
+            "0.33333333333333331"]
 
 
 def _per_point_line_plot(series, path, xlabel="", ylabel="", title=""):
