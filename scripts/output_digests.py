@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print the sha256 digest of every file a fixed set of CLI calls writes.
+
+Runs each command of ``COMMANDS`` through ``optoweak.cli.main`` in its own
+subdirectory of OUT_DIR (the working directory, so relative default output
+names land there), keeps the printed lines and exit status as
+``stdout.txt`` beside its outputs, then prints one ``sha256  path``
+line per file, sorted by path, paths relative to OUT_DIR (best a fresh
+directory: every file under it is listed).
+
+Two checkouts write the same bytes when this prints the same lines with
+``PYTHONPATH`` pointing at each one's ``src``:
+
+    PYTHONPATH=src python scripts/output_digests.py OUT_DIR
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from optoweak import cli
+from optoweak.fockspace import NAMED_STATES
+from optoweak.sweeps import FIGURE_NAMES
+
+SWEEP_BOTH = ["sweep", "--engine", "both", "--observable", "both", "--gamma", "0.005",
+              "--theta", "0.001", "--plot", "sweep.svg"]
+
+COMMANDS = {
+    **{f"figure-{name}": ["figure", name] for name in FIGURE_NAMES},
+    "verify": ["verify"],
+    # the benchmark's oracle-fock32 command line at seed 0
+    "oracle-fock32": ["sweep", "--k=0.005", "--gamma=0.005", "--theta=0.001", "--tau-start=0",
+                      "--tau-end=12.566370614359172", "--steps=200", "--engine=both",
+                      "--observable=q", "--dt=0.001", "--fock-dim=32", "--out=sweep.csv",
+                      "--plot=sweep.svg"],
+    "sweep-both": [*SWEEP_BOTH, "--tau-end", "12.566", "--steps", "60"],
+    "sweep-both-short": [*SWEEP_BOTH, "--tau-end", "1e-4", "--steps", "30"],
+    **{f"wigner-{state}": ["wigner", "--state", state] for state in NAMED_STATES},
+    "sweep-defaults": ["sweep"],
+    "wigner-defaults": ["wigner"],
+}
+
+
+def run(out_dir: Path) -> None:
+    home = Path.cwd()
+    for label, argv in COMMANDS.items():
+        where = out_dir / label
+        where.mkdir(parents=True, exist_ok=True)
+        printed = io.StringIO()
+        os.chdir(where)
+        try:
+            with contextlib.redirect_stdout(printed):
+                status = cli.main(argv)
+        finally:
+            os.chdir(home)
+        (where / "stdout.txt").write_text(f"{printed.getvalue()}exit {status}\n", encoding="utf-8")
+
+
+def digests(out_dir: Path) -> list[str]:
+    files = sorted(path for path in out_dir.rglob("*") if path.is_file())
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir)}"
+            for path in files]
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        sys.exit("usage: output_digests.py OUT_DIR")
+    out_dir = Path(sys.argv[1]).resolve()
+    run(out_dir)
+    print("\n".join(digests(out_dir)))
+
+
+if __name__ == "__main__":
+    main()

@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--state", choices=fockspace.NAMED_STATES, default=sweeps.FIG3_STATE)
     wp.add_argument("--x-range", type=_parse_range, default=sweeps.FIG3_RANGE, help="A:B:N")
     wp.add_argument("--y-range", type=_parse_range, default=sweeps.FIG3_RANGE, help="A:B:N")
-    wp.add_argument("--fock-dim", type=int, default=sweeps.FIG3_FOCK_DIM)
     wp.add_argument("--out", default="wigner.svg", help="SVG output path")
 
     vp = sub.add_parser("verify", help="compare closed forms against the Lindblad oracle")
@@ -119,7 +118,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_wigner(args: argparse.Namespace) -> int:
-    state = fockspace.named_state(args.state, args.fock_dim)
+    state = fockspace.named_state(args.state, 2)  # wigner sizes its space from the grid
     grid = fockspace.wigner(state, args.x_range, args.y_range)
     path = sweeps.svg_heatmap(grid, args.out, title=f"Wigner function, {args.state}")
     print(f"wrote {path}")

@@ -234,8 +234,9 @@ def wigner(
     rho = np.outer(state, state.conj()) if state.ndim == 1 else state
     x_min, x_max, nx = x_range
     y_min, y_max, ny = y_range
-    if not (x_min < x_max and y_min < y_max and nx >= 2 and ny >= 2):
-        raise ValueError("grid ranges must be increasing with at least 2 points")
+    if not (-np.inf < x_min < x_max < np.inf and -np.inf < y_min < y_max < np.inf
+            and nx >= 2 and ny >= 2):
+        raise ValueError("grid ranges must be finite and increasing with at least 2 points")
 
     support = _support_dim(rho)
     r_corner = max(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +63,6 @@ class IntegratorConfig:
             raise ValueError(f"fock_dim={self.fock_dim} below the minimum of 8")
 
 
-@lru_cache(maxsize=32)
 def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
     """Generator of the stacked blocks AA, AB, BA, BB of the joint rho, as
     its six non-zero diagonals.
@@ -94,11 +92,8 @@ def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
         dim: left_a * (1j * k * up)[:, None],
         dim + 1: gamma * (c[:, None] * c.conj()),
     }
-    generator = {d: np.broadcast_to(a, (4, dim, dim)).astype(complex).ravel()
-                 for d, a in diagonals.items()}
-    for coefficients in generator.values():
-        coefficients.flags.writeable = False   # the cache hands them to every caller
-    return generator
+    return {d: np.broadcast_to(a, (4, dim, dim)).astype(complex).ravel()
+            for d, a in diagonals.items()}
 
 
 def _product(diagonals: dict[int, np.ndarray]):
@@ -144,11 +139,6 @@ def initial_joint_density(dim: int, theta: float = 0.0) -> np.ndarray:
     split over both arms (arm-A phase e^{i theta}), mirror in vacuum."""
     psi = initial_joint_state(dim, theta).ravel()
     return np.outer(psi, psi.conj())
-
-
-def _count_applications(stats: dict | None, count: int):
-    if stats is not None:
-        stats["generator_applications"] = stats.get("generator_applications", 0) + count
 
 
 def _shift(generator: dict[int, np.ndarray]):
@@ -199,7 +189,8 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
                     break
                 c1 = c2
             v = eta * v
-        _count_applications(stats, applications)
+        if stats is not None:
+            stats["generator_applications"] = stats.get("generator_applications", 0) + applications
         return v
 
     return advance
@@ -223,15 +214,16 @@ def _finalize(rho, stats):
     return rho
 
 
-def _snapshots(taus, rho: np.ndarray, stats: dict | None, advance):
+def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None):
     """Yield the state at each time of ``taus``, one at a time, from ``rho``
-    at 0; ``advance(v, span)`` carries a :func:`_stack` vector forward by
-    ``span``, and each span starts from the last finalized snapshot."""
+    at 0 under the generator of (k, gamma): :func:`_taylor` carries the
+    :func:`_stack` vector of the last finalized snapshot to the next time."""
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("snapshot times must be finite")
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
+    advance = _taylor(_block_generator(k, gamma, rho.shape[0] // 2), stats)
     current = 0.0
     for t in taus:
         rho = _finalize(_assemble(advance(_stack(rho), t - current)), stats)
@@ -269,8 +261,7 @@ def integrate_snapshots(
     """
     config = config or IntegratorConfig()
     rho = initial_joint_density(config.fock_dim, params.theta) if initial is None else np.asarray(initial, dtype=complex)
-    generator = _block_generator(params.k, params.gamma, rho.shape[0] // 2)
-    return list(_snapshots(taus, rho, stats, _taylor(generator, stats)))
+    return list(_snapshots(params.k, params.gamma, taus, rho, stats))
 
 
 def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0.0):
@@ -335,8 +326,7 @@ def oracle_sweeps(
     q, p, prob = (np.full((len(group), taus.size), np.nan) for _ in range(3))
     dim = config.fock_dim
     xop, pop = position_quadrature(dim), momentum_quadrature(dim)
-    generator = _block_generator(group[0].k, group[0].gamma, dim)
-    snapshots = _snapshots(taus, initial_joint_density(dim), stats, _taylor(generator, stats))
+    snapshots = _snapshots(group[0].k, group[0].gamma, taus, initial_joint_density(dim), stats)
     for i, rho in enumerate(snapshots):
         for j, params in enumerate(group):
             mirror, prob[j, i] = postselect_density(rho, theta=params.theta)

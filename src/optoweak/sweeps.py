@@ -31,9 +31,15 @@ FIG_TAU_MAX = 8 * np.pi
 FIG_STEPS = 4000
 FIG3_RANGE = (-4.0, 4.0, 201)
 FIG3_STATE = "minus-superposition"
-FIG3_FOCK_DIM = 16
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5a", "fig5b")
+# every preset but fig3: name -> (theta, observable, damping values), one curve per damping
+LINE_FIGURES = {
+    "fig2": (0.0, "q", (0.0, FIG_DAMPING)),
+    "fig4": (0.0, "p", (0.0,)),
+    "fig5a": (FIG_SHIFTER, "q", (0.0, FIG_DAMPING)),
+    "fig5b": (-FIG_SHIFTER, "q", (0.0, FIG_DAMPING)),
+}
 OBSERVABLES = ("q", "p", "both")
 ENGINES = ("analytic", "oracle", "both")
 
@@ -175,6 +181,7 @@ def emit_plot(data: SweepResult, path, title: str = "") -> Path:
         series.append((data.tau, data.p, _AXIS_P, data.q is not None))
     if not series:
         raise ValueError("sweep holds no observable columns to plot")
+    # lazy: verify never draws, and importing svgplot without cached bytecode takes ~4 ms
     from . import svgplot
 
     ylabel = series[0][2] if len(series) == 1 else "conditioned moments"
@@ -190,56 +197,33 @@ def svg_heatmap(grid: fockspace.WignerGrid, path, title: str = "") -> Path:
     )
 
 
-def _figure_sweep(theta: float, gamma: float, observable: str) -> SweepResult:
-    params = model.ModelParams(k=FIG_COUPLING, gamma=gamma, theta=theta)
-    return _sweep(SweepConfig(params=params, observable=observable), "analytic")
-
-
 def figure(name: str, out_dir) -> list[Path]:
     """Produce the CSV and SVG files of one preset into ``out_dir``."""
-    from . import svgplot
-
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_NAMES}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
     if name == "fig3":
-        state = fockspace.named_state(FIG3_STATE, FIG3_FOCK_DIM)
-        grid = fockspace.wigner(state, FIG3_RANGE, FIG3_RANGE)
+        # the named kets live on |0> and |1>; wigner sizes its own space from the grid
+        grid = fockspace.wigner(fockspace.named_state(FIG3_STATE, 2), FIG3_RANGE, FIG3_RANGE)
         # a grid symmetric about the origin: the axes and W repeat values
         columns = [np.tile(grid.xs(), grid.ny), np.repeat(grid.ys(), grid.nx), grid.values.ravel()]
         columns = [_format_repeating(column) for column in columns]
-        written.append(_write_csv(out / "fig3.csv", "x,y,wigner", columns))
-        written.append(svg_heatmap(grid, out / "fig3.svg", title="Wigner function, (|0&#10217;-|1&#10217;)/&#8730;2"))
-        return written
+        return [_write_csv(out / "fig3.csv", "x,y,wigner", columns),
+                svg_heatmap(grid, out / "fig3.svg", title="Wigner function, (|0&#10217;-|1&#10217;)/&#8730;2")]
 
-    if name == "fig4":
-        result = _figure_sweep(theta=0.0, gamma=0.0, observable="p")
-        written.append(emit_csv(result, out / "fig4.csv"))
-        written.append(
-            svgplot.line_plot(
-                [(result.tau, result.p, "&#947;=0", False)],
-                out / "fig4.svg", xlabel=_AXIS_TAU, ylabel=_AXIS_P,
-            )
-        )
-        return written
-
-    theta = {"fig2": 0.0, "fig5a": FIG_SHIFTER, "fig5b": -FIG_SHIFTER}[name]
-    undamped = _figure_sweep(theta=theta, gamma=0.0, observable="q")
-    damped = _figure_sweep(theta=theta, gamma=FIG_DAMPING, observable="q")
-    written.append(emit_csv(undamped, out / f"{name}_gamma0.csv"))
-    written.append(emit_csv(damped, out / f"{name}_gamma{FIG_DAMPING}.csv"))
-    written.append(
-        svgplot.line_plot(
-            [
-                (undamped.tau, undamped.q, "&#947;=0", False),
-                (damped.tau, damped.q, f"&#947;={FIG_DAMPING}", True),
-            ],
-            out / f"{name}.svg", xlabel=_AXIS_TAU, ylabel=_AXIS_Q,
-        )
-    )
+    from . import svgplot
+    theta, observable, dampings = LINE_FIGURES[name]
+    written, series = [], []
+    for gamma in dampings:
+        params = model.ModelParams(k=FIG_COUPLING, gamma=gamma, theta=theta)
+        result = _sweep(SweepConfig(params=params, observable=observable), "analytic")
+        stem = name if len(dampings) == 1 else f"{name}_gamma{gamma:g}"
+        written.append(emit_csv(result, out / f"{stem}.csv"))
+        series.append((result.tau, getattr(result, observable), f"&#947;={gamma:g}", bool(series)))
+    written.append(svgplot.line_plot(series, out / f"{name}.svg", xlabel=_AXIS_TAU,
+                                     ylabel={"q": _AXIS_Q, "p": _AXIS_P}[observable]))
     return written
 
 
@@ -308,34 +292,28 @@ def verify(
     groups: dict[tuple[float, float], list[model.ModelParams]] = {}
     for params in by_params:
         groups.setdefault((params.k, params.gamma), []).append(params)
-    shared: dict[model.ModelParams, tuple | Exception] = {}
+    oracle: dict[model.ModelParams, tuple | Exception] = {}
     for members in groups.values():
         try:
-            shared.update(zip(members, lindblad.oracle_sweeps(members, taus, config, stats=stats)))
+            oracle.update(zip(members, lindblad.oracle_sweeps(members, taus, config, stats=stats)))
         except Exception as exc:  # recorded on every member below, not fatal
-            shared.update(dict.fromkeys(members, exc))
+            oracle.update(dict.fromkeys(members, exc))
 
     points: list[dict] = []
-    diffs = []
-    errors = 0
     for params, observables in by_params.items():
         base = {"k": params.k, "gamma": params.gamma, "theta": params.theta}
         try:
-            oracle = shared[params]
-            if isinstance(oracle, Exception):
-                raise oracle
+            if isinstance(oracle[params], Exception):
+                raise oracle[params]
             analytic = model.conditioned_moments(params, taus)
         except Exception as exc:  # recorded, not fatal
             points.append({**base, "observable": "/".join(observables), "error": str(exc)})
-            errors += 1
             continue
         live = analytic[2] > SUCCESS_FLOOR
-        for obs, a_vals, o_vals in zip("qp", analytic, oracle):
+        for obs, a_vals, o_vals in zip("qp", analytic, oracle[params]):
             if obs not in observables:
                 continue
             for tau, a, o in zip(taus[live], a_vals[live], o_vals[live]):
-                diff = abs(a - o)
-                diffs.append(diff)
                 points.append(
                     {
                         **base,
@@ -343,16 +321,18 @@ def verify(
                         "tau": float(tau),
                         "analytic": float(a),
                         "oracle": float(o),
-                        "abs_diff": float(diff),
+                        "abs_diff": float(abs(a - o)),
                     }
                 )
 
+    diffs = [point["abs_diff"] for point in points if "error" not in point]
     max_abs_diff = float(np.max(diffs)) if diffs else 0.0  # np.max keeps a NaN
+    errors = any("error" in point for point in points)
     report = VerifyReport(
         points=points,
         max_abs_diff=max_abs_diff,
         tolerance=float(tolerance),
-        passed=bool(diffs and errors == 0 and max_abs_diff < tolerance),
+        passed=bool(diffs and not errors and max_abs_diff < tolerance),
     )
     if out is not None:
         Path(out).write_text(report.to_json() + "\n", encoding="utf-8")

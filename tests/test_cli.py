@@ -165,7 +165,7 @@ class TestCliDefaults:
     def test_wigner(self, tmp_path):
         out, expected = tmp_path / "cli.svg", tmp_path / "lib.svg"
         assert run_cli(["wigner", "--out", out]) == 0
-        state = fockspace.named_state(sweeps.FIG3_STATE, sweeps.FIG3_FOCK_DIM)
+        state = fockspace.named_state(sweeps.FIG3_STATE, 2)
         grid = fockspace.wigner(state, sweeps.FIG3_RANGE, sweeps.FIG3_RANGE)
         sweeps.svg_heatmap(grid, expected, title=f"Wigner function, {sweeps.FIG3_STATE}")
         assert out.read_bytes() == expected.read_bytes()
@@ -192,8 +192,13 @@ class TestCliErrors:
             (["sweep", "--k", 0.5], None, "k=0.5 outside the weak-coupling range"),
             (["sweep", "--tau-end", "inf", "--steps", 3, "--out", "x.csv"], None,
              "tau bounds must be finite"),
+            (["sweep", "--gamma", "inf", "--out", "x.csv"], None,
+             "gamma=inf must be finite and non-negative"),
             (["verify", "--dt", 0.5], None, "dt=0.5 outside (0, 0.01]"),
             (["wigner", "--x-range=-4:4:1"], None, "at least 2 points"),
+            (["wigner", "--x-range=-inf:4:5"], None, "grid ranges must be finite"),
+            (["wigner", "--y-range=-4:inf:5"], None, "grid ranges must be finite"),
+            (["wigner", "--fock-dim", 1], None, "unrecognized arguments: --fock-dim 1"),
             (["wigner"], {"state": "cat"}, "invalid choice: 'cat'"),
             (["sweep"], {"steps": 3.5}, "argument --steps: invalid int value: '3.5'"),
             (["sweep"], {"steps": "three"}, "argument --steps: invalid int value: 'three'"),
@@ -208,7 +213,8 @@ class TestCliErrors:
             (["wigner", "--out", "nodir/w.svg"], None, "No such file or directory: 'nodir/w.svg'"),
             (["figure", "fig4", "--out-dir", "file/x"], None, "Not a directory: 'file/x'"),
         ],
-        ids=["sweep-k", "sweep-tau-end-inf", "verify-dt", "wigner-range", "wigner-config-state",
+        ids=["sweep-k", "sweep-tau-end-inf", "sweep-gamma-inf", "verify-dt", "wigner-range",
+             "wigner-x-range-inf", "wigner-y-range-inf", "wigner-fock-dim", "wigner-config-state",
              "config-steps-float", "config-steps-word", "config-k-bool",
              "config-plot-false", "config-out-list",
              "config-observable", "config-not-object",

@@ -30,7 +30,7 @@ from optoweak.fockspace import (
     wigner,
 )
 from optoweak.model import ModelParams, coherent_amplitude, kerr_phase, mean_q
-from optoweak.sweeps import FIG3_FOCK_DIM, FIG3_RANGE
+from optoweak.sweeps import FIG3_RANGE
 
 TWO_PI = 2 * np.pi
 K = 0.005
@@ -356,9 +356,9 @@ def mixed_state() -> np.ndarray:
 class TestWigner:
     @pytest.mark.parametrize(
         "state, x_range, y_range",
-        [(named_state(name, FIG3_FOCK_DIM), FIG3_RANGE, FIG3_RANGE) for name in NAMED_STATES]
+        [(named_state(name, 2), FIG3_RANGE, FIG3_RANGE) for name in NAMED_STATES]
         + [
-            (named_state("minus-superposition", FIG3_FOCK_DIM), (-2.0, 2.0, 31), (-3.0, 3.0, 41)),
+            (named_state("minus-superposition", 2), (-2.0, 2.0, 31), (-3.0, 3.0, 41)),
             (mixed_state(), (-2.0, 2.0, 31), (-3.0, 3.0, 41)),
         ],
         ids=[*NAMED_STATES, "asymmetric-grid", "density-matrix"],
@@ -413,3 +413,12 @@ class TestWigner:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             wigner(minus_state(), (4, -4, 11), (-4, 4, 11))
+
+    @pytest.mark.parametrize("x_range, y_range", [
+        ((-np.inf, 4.0, 5), (-4.0, 4.0, 5)),
+        ((-4.0, np.inf, 5), (-4.0, 4.0, 5)),
+        ((-4.0, 4.0, 5), (-np.inf, np.inf, 5)),
+    ])
+    def test_non_finite_bound_rejected(self, x_range, y_range):
+        with pytest.raises(ValueError, match="finite"):
+            wigner(minus_state(), x_range, y_range)

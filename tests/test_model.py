@@ -49,6 +49,7 @@ class TestModelParams:
             {"k": 0.005, "gamma": -1e-9},
             {"k": 0.005, "theta": 3.2},
             {"k": 0.005, "theta": -np.pi},
+            {"k": 0.005, "gamma": np.inf},
         ],
     )
     def test_invalid(self, kwargs):

@@ -12,9 +12,10 @@ from optoweak.lindblad import IntegratorConfig, StepUnstable
 from optoweak.model import ModelParams
 from optoweak.sweeps import (
     CSV_HEADER,
-    FIG3_FOCK_DIM,
     FIG3_RANGE,
     FIG3_STATE,
+    FIGURE_NAMES,
+    LINE_FIGURES,
     SUCCESS_FLOOR,
     SweepConfig,
     default_verify_grid,
@@ -266,10 +267,10 @@ def _line_series(case):
         return [(x, y, "a", False), (xs[:30], np.cos(xs[:30]), "b", True)]
     if case == "all-nan-beside-finite":
         return [(xs, np.full_like(xs, np.nan), "nan", False), (xs, xs ** 2, "b", True)]
-    from optoweak.sweeps import FIG_DAMPING, _figure_sweep
+    from optoweak.sweeps import FIG_COUPLING, FIG_DAMPING
 
-    undamped = _figure_sweep(theta=0.0, gamma=0.0, observable="q")
-    damped = _figure_sweep(theta=0.0, gamma=FIG_DAMPING, observable="q")
+    undamped = run_sweep(SweepConfig(params=ModelParams(k=FIG_COUPLING)))
+    damped = run_sweep(SweepConfig(params=ModelParams(k=FIG_COUPLING, gamma=FIG_DAMPING)))
     return [(undamped.tau, undamped.q, "g0", False), (damped.tau, damped.q, "g", True)]
 
 
@@ -374,7 +375,7 @@ class TestPlots:
             r, g, b = (round(255 + (ch - 255) * abs(t)) for ch in target)
             return f"#{r:02x}{g:02x}{b:02x}"
 
-        state = fockspace.named_state(FIG3_STATE, FIG3_FOCK_DIM)
+        state = fockspace.named_state(FIG3_STATE, 2)
         fig3 = fockspace.wigner(state, FIG3_RANGE, FIG3_RANGE).values.ravel().tolist()
         vmax = max(abs(v) for v in fig3)
         bar = [(2 * (1 - (i + 0.5) / 32) - 1) * vmax for i in range(32)]
@@ -408,6 +409,21 @@ class TestFigures:
     def test_unknown_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             figure("fig9", tmp_path)
+
+    def test_line_presets_are_every_name_but_fig3(self):
+        assert list(LINE_FIGURES) == [name for name in FIGURE_NAMES if name != "fig3"]
+
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_written_files_in_order(self, tmp_path, name):
+        files = {
+            "fig2": ["fig2_gamma0.csv", "fig2_gamma0.005.csv", "fig2.svg"],
+            "fig3": ["fig3.csv", "fig3.svg"],
+            "fig4": ["fig4.csv", "fig4.svg"],
+            "fig5a": ["fig5a_gamma0.csv", "fig5a_gamma0.005.csv", "fig5a.svg"],
+            "fig5b": ["fig5b_gamma0.csv", "fig5b_gamma0.005.csv", "fig5b.svg"],
+        }[name]
+        assert figure(name, tmp_path) == [tmp_path / file for file in files]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
     def test_fig2_outputs(self, tmp_path):
         paths = figure("fig2", tmp_path)
