@@ -213,8 +213,8 @@ def _support_dim(rho: np.ndarray) -> int:
 
 def wigner(
     state: np.ndarray,
-    x_range: tuple[float, float, int] = (-4.0, 4.0, 201),
-    y_range: tuple[float, float, int] = (-4.0, 4.0, 201),
+    x_range: tuple[float, float, int],
+    y_range: tuple[float, float, int],
     internal_dim: int | None = None,
 ) -> WignerGrid:
     """Sample W(x, y) = (2/pi) Tr[rho D(alpha) Pi D^dag(alpha)], alpha = (x+iy)/2.

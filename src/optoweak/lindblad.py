@@ -5,11 +5,12 @@ Evolves
     d rho / d tau = -i [H, rho] + (gamma/2)(2 C rho C^dag - C^dag C rho - rho C^dag C)
 
 with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c.
-H and C commute with |A><A|, so the four N x N path blocks of rho evolve
-apart under one time-independent generator, held as its six non-zero
-diagonals in numpy arrays, and one propagator applies its exact
-exponential to the stacked blocks by truncated Taylor series (Al-Mohy &
-Higham 2011).  :func:`oracle_sweep` postselects the evolved states;
+The oracle evolves vec(rho), the row-major ``ravel()`` of the 2N x 2N
+joint rho, under one time-independent generator.  H and C commute with
+|A><A|, so it has six non-zero diagonals (offsets 0, -+1, -+2N and
+2N + 1), held in numpy arrays, and one propagator applies its exact
+exponential to vec(rho) by truncated Taylor series (Al-Mohy & Higham
+2011).  :func:`oracle_sweep` postselects the evolved states;
 :func:`integrate` and :func:`integrate_snapshots` return them.  Every
 analytic formula in :mod:`optoweak.model` is validated
 against this oracle; nothing here shares code with the closed forms.
@@ -17,14 +18,12 @@ against this oracle; nothing here shares code with the closed forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DegeneratePostselection, ModelParams, TRACE_FLOOR
-from .fockspace import (annihilation_matrix, initial_joint_state, momentum_quadrature,
-                        position_quadrature)
+from .fockspace import initial_joint_state, momentum_quadrature, position_quadrature
 
 _TRACE_DRIFT_LIMIT = 1e-6
 _HERMITICITY_LIMIT = 1e-9
@@ -42,6 +41,11 @@ _THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
+# Substeps one span may take.  s grows linearly with the span (one 40-unit
+# span at Fock 32 takes 134 substeps, about 0.23 s on one core), so the cap
+# stands for roughly 20 s of evolution at Fock 32 and rejects spans that
+# would run for hours instead of starting them.
+_MAX_SUBSTEPS = 10_000
 
 
 class StepUnstable(Exception):
@@ -64,35 +68,36 @@ class IntegratorConfig:
 
 
 def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
-    """Generator of the stacked blocks AA, AB, BA, BB of the joint rho, as
+    """Generator of the row-major ``ravel()`` of the 2N x 2N joint rho, as
     its six non-zero diagonals.
 
-    H and C commute with |A><A|, so each N x N block rho_ij evolves on its
-    own under -i (H_i rho_ij - rho_ij H_j) + gamma (c rho_ij c^dag -
-    (n rho_ij + rho_ij n)/2), with H_A = n - k x and H_B = n.  On the
-    row-major :func:`_stack` vector, entry (l, r) of a block meets only
-    itself (offset 0), (l -+ 1, r) through x on the left of an arm-A row
-    (offsets -+N), (l, r -+ 1) through x on the right of an arm-A column
-    (offsets -+1), and (l + 1, r + 1) through the jump c rho c^dag (offset
-    N + 1).  Returns {d: c_d} with (L v)[p] = sum_d c_d[p] v[p + d]; each
-    c_d is zero wherever p + d leaves the block of p.
+    H and C commute with |A><A|, so no term moves weight between path
+    blocks: each N x N block rho_ij evolves on its own under -i (H_i rho_ij
+    - rho_ij H_j) + gamma (c rho_ij c^dag - (n rho_ij + rho_ij n)/2), with
+    H_A = n - k x and H_B = n.  Entry (l, r) of a block meets only itself
+    (offset 0), (l -+ 1, r) through x on the left of an arm-A row (offsets
+    -+2N), (l, r -+ 1) through x on the right of an arm-A column (offsets
+    -+1), and (l + 1, r + 1) through the jump c rho c^dag (offset 2N + 1).
+    x's sub- and superdiagonal are padded with a zero at the Fock cutoff,
+    which stops every term at a block edge: each c_d is zero wherever
+    p + d leaves the block of p.  Returns {d: c_d} with
+    (L v)[p] = sum_d c_d[p] v[p + d].
     """
-    c = np.append(np.diagonal(annihilation_matrix(dim), 1), 0)   # c[l, l + 1]
     x = position_quadrature(dim)                                  # real symmetric
-    up = np.append(np.diagonal(x, 1), 0)                          # x[l, l + 1]
+    up = np.append(np.diagonal(x, 1), 0)                          # x[l, l + 1] = c[l, l + 1]
     down = np.insert(np.diagonal(x, -1), 0, 0)                    # x[l, l - 1]
     n = np.arange(dim)
-    left_a = np.array([1, 1, 0, 0])[:, None, None]                # blocks AA, AB, BA, BB
-    right_a = np.array([1, 0, 1, 0])[:, None, None]
+    row = n[:, None, None]                                        # l, broadcast against r
+    arm_a = np.array([1, 0])[:, None]                             # rows/columns of arm A
     diagonals = {
-        -dim: left_a * (1j * k * down)[:, None],
-        -1: right_a * (-1j * k * down),
-        0: -1j * (n[:, None] - n) - gamma * (n[:, None] + n) / 2,
-        1: right_a * (-1j * k * up),
-        dim: left_a * (1j * k * up)[:, None],
-        dim + 1: gamma * (c[:, None] * c.conj()),
+        -2 * dim: (arm_a * (1j * k * down))[..., None, None],
+        -1: arm_a * (-1j * k * down),
+        0: -1j * (row - n) - gamma * (row + n) / 2,
+        1: arm_a * (-1j * k * up),
+        2 * dim: (arm_a * (1j * k * up))[..., None, None],
+        2 * dim + 1: gamma * (up[:, None, None] * up),              # c[l, l+1] c[r, r+1]
     }
-    return {d: np.broadcast_to(a, (4, dim, dim)).astype(complex).ravel()
+    return {d: np.broadcast_to(a, (2, dim, 2, dim)).astype(complex).ravel()
             for d, a in diagonals.items()}
 
 
@@ -120,18 +125,6 @@ def _product(diagonals: dict[int, np.ndarray]):
         return product
 
     return apply
-
-
-def _stack(rho: np.ndarray) -> np.ndarray:
-    """The blocks AA, AB, BA, BB of a 2N x 2N matrix, each raveled row-major."""
-    dim = rho.shape[0] // 2
-    return rho.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3).ravel()
-
-
-def _assemble(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_stack`."""
-    dim = math.isqrt(v.size // 4)
-    return v.reshape(2, 2, dim, dim).transpose(0, 2, 1, 3).reshape(2 * dim, 2 * dim)
 
 
 def initial_joint_density(dim: int, theta: float = 0.0) -> np.ndarray:
@@ -162,7 +155,8 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
     The trace shift, the shifted diagonals and their exact 1-norm
     (:func:`_shift`) depend on the generator alone and are taken once; each
     span only picks the degree m and the number of substeps s that
-    minimise m s.
+    minimise m s, and raises ValueError before any product when s exceeds
+    ``_MAX_SUBSTEPS``.
     """
     mu, shifted, norm = _shift(generator)
     apply = _product(shifted)
@@ -174,6 +168,9 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
         if span * norm > 0:
             substeps = np.ceil(span * norm / thetas)
             best = np.argmin(degrees * substeps)  # the first, i.e. lowest, degree on a tie
+            if substeps[best] > _MAX_SUBSTEPS:
+                raise ValueError(f"a span of {span:g} needs {substeps[best]:.3g} Taylor "
+                                 f"substeps, above the cap of {_MAX_SUBSTEPS}")
             m, s = int(degrees[best]), int(substeps[best])
         eta = np.exp(span * mu / s)
         applications = 0
@@ -217,7 +214,7 @@ def _finalize(rho, stats):
 def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None):
     """Yield the state at each time of ``taus``, one at a time, from ``rho``
     at 0 under the generator of (k, gamma): :func:`_taylor` carries the
-    :func:`_stack` vector of the last finalized snapshot to the next time."""
+    ``ravel()`` of the last finalized snapshot to the next time."""
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("snapshot times must be finite")
@@ -226,7 +223,7 @@ def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None
     advance = _taylor(_block_generator(k, gamma, rho.shape[0] // 2), stats)
     current = 0.0
     for t in taus:
-        rho = _finalize(_assemble(advance(_stack(rho), t - current)), stats)
+        rho = _finalize(advance(rho.ravel(), t - current).reshape(rho.shape), stats)
         current = t
         yield rho
 
@@ -272,10 +269,7 @@ def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0
     <port| rho |port> and its trace (the port probability).
     """
     dim = rho.shape[0] // 2
-    aa = rho[:dim, :dim]
-    ab = rho[:dim, dim:]
-    ba = rho[dim:, :dim]
-    bb = rho[dim:, dim:]
+    (aa, ab), (ba, bb) = rho.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3)
     sign = -1.0 if dark_port else 1.0
     phase = np.exp(1j * theta)
     mirror = (aa + sign * phase * ab + sign * np.conj(phase) * ba + bb) / 2
@@ -312,7 +306,7 @@ def oracle_sweeps(
 
     theta enters only at postselection, so the group evolves once from the
     unshifted source: the truncated-Taylor propagator of :func:`_taylor`
-    carries the stacked blocks from one snapshot time to the next, and
+    carries vec(rho) from one snapshot time to the next, and
     every member postselects each snapshot as it streams past.  Returns one (q, p, prob)
     triple of arrays per member; times where the dark-port probability is
     at the floor give NaN observables instead of raising.

@@ -171,7 +171,7 @@ _AXIS_Q = "&#10216;q&#10217;/&#963;"
 _AXIS_P = "&#10216;p&#10217;&#183;2&#963;/&#8463;"
 
 
-def emit_plot(data: SweepResult, path, title: str = "") -> Path:
+def emit_plot(data: SweepResult, path) -> Path:
     """Render the observable columns of a SweepResult as a line plot over tau
     (:func:`svg_heatmap` renders a WignerGrid)."""
     series = []
@@ -185,7 +185,7 @@ def emit_plot(data: SweepResult, path, title: str = "") -> Path:
     from . import svgplot
 
     ylabel = series[0][2] if len(series) == 1 else "conditioned moments"
-    return svgplot.line_plot(series, path, xlabel=_AXIS_TAU, ylabel=ylabel, title=title)
+    return svgplot.line_plot(series, path, xlabel=_AXIS_TAU, ylabel=ylabel)
 
 
 def svg_heatmap(grid: fockspace.WignerGrid, path, title: str = "") -> Path:
@@ -278,9 +278,12 @@ def verify(
     postselected from the same snapshots.  Engine errors are recorded on
     each parameter set they hit instead of aborting the report.  The
     report passes only if it compared at least one point, recorded no
-    error and every difference is below ``tolerance``.  When ``out`` is
-    given the JSON report is written there.
+    error and every difference is below ``tolerance``, which must be finite
+    and non-negative.  When ``out`` is given the JSON report is written
+    there.
     """
+    if not 0.0 <= tolerance < math.inf:  # also rejects NaN
+        raise ValueError(f"tolerance={tolerance} must be finite and non-negative")
     config = config or lindblad.IntegratorConfig()
     taus = np.linspace(0.0, 4 * np.pi, 50) if taus is None else np.asarray(taus, float)
     grid = default_verify_grid() if grid is None else grid

@@ -195,6 +195,11 @@ class TestCliErrors:
             (["sweep", "--gamma", "inf", "--out", "x.csv"], None,
              "gamma=inf must be finite and non-negative"),
             (["verify", "--dt", 0.5], None, "dt=0.5 outside (0, 0.01]"),
+            (["verify", "--tolerance", "inf"], None, "tolerance=inf must be finite and non-negative"),
+            (["verify", "--tolerance", "nan"], None, "tolerance=nan must be finite and non-negative"),
+            (["verify", "--tolerance=-1"], None, "tolerance=-1.0 must be finite and non-negative"),
+            (["sweep", "--engine", "oracle", "--tau-end", "1e9", "--steps", 2, "--fock-dim", 8,
+              "--out", "x.csv"], None, "Taylor substeps, above the cap of 10000"),
             (["wigner", "--x-range=-4:4:1"], None, "at least 2 points"),
             (["wigner", "--x-range=-inf:4:5"], None, "grid ranges must be finite"),
             (["wigner", "--y-range=-4:inf:5"], None, "grid ranges must be finite"),
@@ -213,7 +218,9 @@ class TestCliErrors:
             (["wigner", "--out", "nodir/w.svg"], None, "No such file or directory: 'nodir/w.svg'"),
             (["figure", "fig4", "--out-dir", "file/x"], None, "Not a directory: 'file/x'"),
         ],
-        ids=["sweep-k", "sweep-tau-end-inf", "sweep-gamma-inf", "verify-dt", "wigner-range",
+        ids=["sweep-k", "sweep-tau-end-inf", "sweep-gamma-inf", "verify-dt",
+             "verify-tolerance-inf", "verify-tolerance-nan", "verify-tolerance-negative",
+             "sweep-oracle-long-span", "wigner-range",
              "wigner-x-range-inf", "wigner-y-range-inf", "wigner-fock-dim", "wigner-config-state",
              "config-steps-float", "config-steps-word", "config-k-bool",
              "config-plot-false", "config-out-list",

@@ -25,11 +25,9 @@ from optoweak.lindblad import (
     oracle_sweep,
     oracle_sweeps,
     postselect_density,
-    _assemble,
     _block_generator,
     _product,
     _shift,
-    _stack,
     _taylor,
 )
 from optoweak.model import (
@@ -58,7 +56,7 @@ def dense_step_propagators():
 
 def block_rhs(k, gamma, rho):
     """d rho / d tau through the package's block generator."""
-    return _assemble(_product(_block_generator(k, gamma, rho.shape[0] // 2))(_stack(rho)))
+    return _product(_block_generator(k, gamma, rho.shape[0] // 2))(rho.ravel()).reshape(rho.shape)
 
 
 def analytic_joint_density(params, tau, dim):
@@ -132,14 +130,24 @@ class TestGenerator:
     @pytest.mark.parametrize("dim", [8, 16])
     @pytest.mark.parametrize("k, gamma", [(K, 0.0), (0.2, 0.3)])
     def test_trace_shift_and_norm_match_the_dense_liouvillian(self, dim, k, gamma):
-        # the stacked blocks permute vec(rho), which keeps the trace and the
-        # column sums of the (block-diagonal) Liouvillian
-        mu, _, norm = _shift(_block_generator(k, gamma, dim))
+        generator = _block_generator(k, gamma, dim)
+        mu, _, norm = _shift(generator)
         dense = dr.liouvillian(k, gamma, dim)
-        dense_mu = np.trace(dense) / dense.shape[0]
-        dense_norm = np.abs(dense - dense_mu * np.eye(dense.shape[0])).sum(axis=0).max()
+        n = dense.shape[0]
+        dense_mu = np.trace(dense) / n
+        dense_norm = np.abs(dense - dense_mu * np.eye(n)).sum(axis=0).max()
         assert abs(mu - dense_mu) <= 1e-15 * abs(dense_mu)
         assert abs(norm - dense_norm) <= 1e-15 * dense_norm
+        # entry for entry: the six diagonals, scattered, are the dense matrix
+        scattered = np.zeros_like(dense)
+        for d, coefficients in generator.items():
+            rows = np.arange(max(0, -d), min(n, n - d))
+            scattered[rows, rows + d] = coefficients[rows]
+            assert np.count_nonzero(coefficients) == np.count_nonzero(coefficients[rows])
+        assert np.max(np.abs(scattered - dense)) <= 1e-15 * np.max(np.abs(dense))
+        # and no other diagonal of the dense matrix holds anything
+        rows, columns = np.nonzero(dense)
+        assert set((columns - rows).tolist()) <= set(generator)
 
     def test_collapse_operator_acts_per_arm(self):
         c = dr.collapse(3)
@@ -335,7 +343,7 @@ class TestTaylorPropagator:
         n = generator[0].size
         matrix = sparse.diags([c[max(0, -d):n - max(0, d)] for d, c in generator.items()],
                               list(generator), format="csr")
-        v = _stack(initial_joint_density(dim, theta=0.3))
+        v = initial_joint_density(dim, theta=0.3).ravel()
         advance = _taylor(generator, None)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
@@ -348,6 +356,12 @@ class TestTaylorPropagator:
             stats = {}
             evolve(ModelParams(k=K, gamma=0.005), VERIFY_TAUS, stats=stats)
             assert stats["generator_applications"] == 637, evolve.__name__
+
+    def test_span_beyond_the_substep_cap_is_rejected_before_any_product(self):
+        stats = {}
+        with pytest.raises(ValueError, match="Taylor substeps, above the cap"):
+            oracle_sweep(ModelParams(k=K), [0.0, 1e9], IntegratorConfig(fock_dim=8), stats)
+        assert stats["generator_applications"] == 0
 
 
 @pytest.mark.filterwarnings("error")
