@@ -39,6 +39,10 @@ COMMANDS = {
     "sweep-both": [*SWEEP_BOTH, "--tau-end", "12.566", "--steps", "60"],
     "sweep-both-short": [*SWEEP_BOTH, "--tau-end", "1e-4", "--steps", "30"],
     **{f"wigner-{state}": ["wigner", "--state", state] for state in NAMED_STATES},
+    # windows reaching past the fig3 corner, where the displaced states' tails lie
+    **{f"wigner-wide-{state}": ["wigner", "--state", state, "--x-range=-12:12:49",
+                                "--y-range=-12:12:49"]
+       for state in ("one-phonon", "minus-superposition")},
     "sweep-defaults": ["sweep"],
     "wigner-defaults": ["wigner"],
 }

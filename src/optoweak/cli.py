@@ -118,7 +118,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_wigner(args: argparse.Namespace) -> int:
-    state = fockspace.named_state(args.state, 2)  # wigner sizes its space from the grid
+    state = fockspace.named_state(args.state, 2)  # wigner needs no Fock cutoff
     grid = fockspace.wigner(state, args.x_range, args.y_range)
     path = sweeps.svg_heatmap(grid, args.out, title=f"Wigner function, {args.state}")
     print(f"wrote {path}")

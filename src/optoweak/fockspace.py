@@ -81,17 +81,12 @@ def named_state(name: str, dim: int) -> np.ndarray:
     return state
 
 
-def _displacement_eigensystem(dim: int):
-    """(w, V) with i(c^dag - c) = V diag(w) V^dag, so that the real-amplitude
-    displacement exp(r (c^dag - c)) is V e^{-i r w} V^dag for every r."""
-    c = annihilation_matrix(dim)
-    return np.linalg.eigh(1j * (c.conj().T - c))
-
-
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     """exp(alpha c^dag - alpha* c), exact within the truncation: R V e^{-i|alpha| w}
-    V^dag R^dag with R = e^{i arg(alpha) c^dag c} rotating the real-amplitude form."""
-    w, V = _displacement_eigensystem(dim)
+    V^dag R^dag with i(c^dag - c) = V diag(w) V^dag and R = e^{i arg(alpha) c^dag c}
+    rotating the real-amplitude form."""
+    c = annihilation_matrix(dim)
+    w, V = np.linalg.eigh(1j * (c.conj().T - c))
     rotated = np.exp(1j * np.angle(alpha) * np.arange(dim))[:, None] * V
     return (rotated * np.exp(-1j * abs(alpha) * w)) @ rotated.conj().T
 
@@ -215,20 +210,20 @@ def wigner(
     state: np.ndarray,
     x_range: tuple[float, float, int],
     y_range: tuple[float, float, int],
-    internal_dim: int | None = None,
 ) -> WignerGrid:
     """Sample W(x, y) = (2/pi) Tr[rho D(alpha) Pi D^dag(alpha)], alpha = (x+iy)/2.
 
     D is the displacement operator and Pi the photon-number parity; with this
     convention the vacuum gives 2/pi at the origin and the grid integral
     (dx dy / 4) recovers the trace.  Since Pi D^dag(alpha) = D(alpha) Pi, the
-    sampled value is (2/pi) Tr[rho D(2 alpha) Pi].
+    sampled value is (2/pi) Re sum_{l,j} rho[l,j] (-1)^l <j|D(beta)|l>, beta = 2 alpha.
 
-    The displacement is evaluated exactly (eigenbasis of the anti-Hermitian
-    generator, equal to its matrix exponential) inside an enlarged Fock space
-    sized for the grid corners; raises TruncationInadequate when the displaced
-    support is not contained even there.  Its phases depend on a grid point
-    only through |alpha|, so they are evaluated once per distinct radius.
+    The untruncated elements are closed forms (Cahill & Glauber 1969): with
+    r = |beta|^2, <n+d|D(beta)|n> = sqrt(n!/(n+d)!) beta^d e^{-r/2} L_n^(d)(r)
+    and <n|D(beta)|n+d> = (-1)^d conj(<n+d|D(beta)|n>).  Each off-diagonal d
+    runs the Laguerre three-term recurrence in n on the elements themselves,
+    starting from the coherent amplitude e^{-r/2} beta^d / sqrt(d!), so every
+    intermediate stays within [-1, 1] and no Fock cutoff enters.
     """
     state = np.asarray(state, dtype=complex)
     rho = np.outer(state, state.conj()) if state.ndim == 1 else state
@@ -237,51 +232,25 @@ def wigner(
     if not (-np.inf < x_min < x_max < np.inf and -np.inf < y_min < y_max < np.inf
             and nx >= 2 and ny >= 2):
         raise ValueError("grid ranges must be finite and increasing with at least 2 points")
-
-    support = _support_dim(rho)
-    r_corner = max(
-        abs(complex(x, y)) for x in (x_min, x_max) for y in (y_min, y_max)
-    )
-    if internal_dim is None:
-        reach = r_corner + np.sqrt(support)
-        internal_dim = max(rho.shape[0], int(np.ceil(reach**2 + 10 * reach + 10)))
-    big = int(internal_dim)
-    if big < rho.shape[0]:
-        raise ValueError("internal_dim cannot be below the state dimension")
-
-    # only the support x support block of each displacement is ever needed
-    w, V = _displacement_eigensystem(big)
-
-    # adequacy at the worst grid corner: displaced support columns must not
-    # reach the top two levels of the enlarged space
-    corner_cols = V @ (np.exp(-1j * r_corner * w)[:, None] * V.conj().T[:, :support])
-    leak = np.max(np.sum(np.abs(corner_cols[-2:, :]) ** 2, axis=0))
-    if leak > 1e-6:
-        raise TruncationInadequate(
-            f"displaced support reaches the cutoff (top-level population {leak:.2e}); "
-            "increase internal_dim"
-        )
+    x_far, y_far = float(max(-x_min, x_max)), float(max(-y_min, y_max))
+    if x_far * x_far + y_far * y_far == np.inf:  # Python floats: no overflow warning
+        raise ValueError("the grid's outermost |x + iy|^2 overflows a float")
 
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
     beta = xs[None, :] + 1j * ys[:, None]          # 2 alpha
-    radii, at = np.unique(np.abs(beta).ravel(), return_inverse=True)
-    ang = np.angle(beta).ravel()
-
-    Vs = V[:support, :]
-    phases = np.exp(-1j * np.outer(radii, w))      # (distinct radii, big)
-    # E[t, j, l] = sum_s V[j,s] e^{-i r_t w_s} V*[l,s], first per distinct radius r_t
-    E = np.einsum("js,ts,ls->tjl", Vs, phases, Vs.conj(), optimize=True)
-    # gather into the (j, l, t) C-contiguous layout a full-grid einsum returns:
-    # the einsum below rounds differently on any other layout
-    E = np.ascontiguousarray(E.transpose(1, 2, 0)[:, :, at]).transpose(2, 0, 1)
-    j = np.arange(support)
-    rot = np.exp(1j * np.outer(ang, j))            # e^{i theta j}
-    parity = (-1.0) ** j
-    # W_t = (2/pi) sum_{l,j} rho[l,j] e^{i ang (j-l)} E[t,j,l] (-1)^l
-    values = np.einsum(
-        "lj,tj,tjl,tl,l->t", rho[:support, :support], rot, E, rot.conj(), parity,
-        optimize=True,
-    )
-    values = (2 / np.pi) * values.real
-    return WignerGrid(x_min, x_max, y_min, y_max, nx, ny, values.reshape(ny, nx))
+    r = xs[None, :] ** 2 + ys[:, None] ** 2
+    support = _support_dim(rho)
+    # the real parts of the (l, j) and (j, l) terms, both as multiples of <j|D|l>, j >= l
+    coeffs = np.triu(rho) + np.triu(rho.conj().T, 1)
+    head, total = np.exp(-r / 2) + 0j, 0j          # head: <d|D(beta)|0>, here d = 0
+    for d in range(support):
+        below, element = 0.0, head                 # <n+d|D(beta)|n> at n - 1 and n
+        for n in range(support - d):
+            total = total + (-1) ** n * coeffs[n, n + d] * element
+            below, element = element, (
+                ((2 * n + 1 + d - r) * element - np.sqrt(n * (n + d)) * below)
+                / np.sqrt((n + 1) * (n + d + 1))
+            )
+        head = head * beta / np.sqrt(d + 1)
+    return WignerGrid(x_min, x_max, y_min, y_max, nx, ny, (2 / np.pi) * total.real)

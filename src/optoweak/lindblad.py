@@ -164,14 +164,13 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
     thetas = np.fromiter(_THETA.values(), dtype=float)
 
     def advance(v, span):
-        m, s = 0, 1
-        if span * norm > 0:
+        with np.errstate(over="ignore"):  # a count past the float range is inf, above the cap
             substeps = np.ceil(span * norm / thetas)
             best = np.argmin(degrees * substeps)  # the first, i.e. lowest, degree on a tie
-            if substeps[best] > _MAX_SUBSTEPS:
-                raise ValueError(f"a span of {span:g} needs {substeps[best]:.3g} Taylor "
-                                 f"substeps, above the cap of {_MAX_SUBSTEPS}")
-            m, s = int(degrees[best]), int(substeps[best])
+        if substeps[best] > _MAX_SUBSTEPS:
+            raise ValueError(f"a span of {span:g} needs {substeps[best]:.3g} Taylor "
+                             f"substeps, above the cap of {_MAX_SUBSTEPS}")
+        m, s = (int(degrees[best]), int(substeps[best])) if substeps[best] else (0, 1)
         eta = np.exp(span * mu / s)
         applications = 0
         for _ in range(s):

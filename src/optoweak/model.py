@@ -30,7 +30,7 @@ class ModelParams:
     """Dimensionless physical configuration of one experiment.
 
     k      -- optomechanical coupling g/omega_m, 0 < k <= 0.25
-    gamma  -- mechanical damping gamma_m/omega_m, finite and >= 0
+    gamma  -- mechanical damping gamma_m/omega_m, >= 0 with a finite square
     theta  -- phase-shifter angle in radians, in (-pi, pi]
     """
 
@@ -41,8 +41,9 @@ class ModelParams:
     def __post_init__(self):
         if not (0.0 < self.k <= 0.25):
             raise ValueError(f"k={self.k} outside the weak-coupling range (0, 0.25]")
-        if not (0.0 <= self.gamma < np.inf):
-            raise ValueError(f"gamma={self.gamma} must be finite and non-negative")
+        # the square in Python floats: inf past the float range, not an overflow warning
+        if not (0.0 <= self.gamma and float(self.gamma) * float(self.gamma) < np.inf):
+            raise ValueError(f"gamma={self.gamma} must be finite and non-negative, with a finite square")
         if not (-np.pi < self.theta <= np.pi):
             raise ValueError(f"theta={self.theta} outside (-pi, pi]")
 

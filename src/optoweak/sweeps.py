@@ -205,7 +205,7 @@ def figure(name: str, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
 
     if name == "fig3":
-        # the named kets live on |0> and |1>; wigner sizes its own space from the grid
+        # the named kets live on |0> and |1>; wigner's displacement elements need no cutoff
         grid = fockspace.wigner(fockspace.named_state(FIG3_STATE, 2), FIG3_RANGE, FIG3_RANGE)
         # a grid symmetric about the origin: the axes and W repeat values
         columns = [np.tile(grid.xs(), grid.ny), np.repeat(grid.ys(), grid.nx), grid.values.ravel()]

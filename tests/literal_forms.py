@@ -75,3 +75,27 @@ def literal_coherence_exponent(k, gamma, tau) -> complex:
     alpha = 1j * k / mu * em
     value = abs(alpha) ** 2 / 2 - (k**2 / mu) * tau + (k**2 / mu**2) * em
     return complex(value)
+
+
+def _laguerre(n, a, r):
+    """L_n^(a)(r) as its finite sum sum_k (-1)^k C(n+a, n-k) r^k / k!."""
+    return mp.fsum((-1) ** k * mp.binomial(n + a, n - k) * r**k / mp.factorial(k)
+                   for k in range(n + 1))
+
+
+def literal_wigner(rho, x, y) -> float:
+    """(2/pi) Re sum_{l,j} rho[l,j] (-1)^l <j|D(x + iy)|l> of a square
+    density matrix, with the untruncated Laguerre displacement elements."""
+    beta = mp.mpc(mp.mpf(float(x)), mp.mpf(float(y)))
+    r = abs(beta) ** 2
+    total = mp.mpc(0)
+    for l in range(len(rho)):
+        for j in range(len(rho)):
+            if rho[l][j] == 0:
+                continue
+            lo, hi = min(j, l), max(j, l)
+            shift = beta if j >= l else -mp.conj(beta)
+            element = (mp.sqrt(mp.factorial(lo) / mp.factorial(hi)) * shift ** (hi - lo)
+                       * mp.exp(-r / 2) * _laguerre(lo, hi - lo, r))
+            total += mp.mpc(complex(rho[l][j])) * (-1) ** l * element
+    return float(2 / mp.pi * mp.re(total))

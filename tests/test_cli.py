@@ -200,9 +200,15 @@ class TestCliErrors:
             (["verify", "--tolerance=-1"], None, "tolerance=-1.0 must be finite and non-negative"),
             (["sweep", "--engine", "oracle", "--tau-end", "1e9", "--steps", 2, "--fock-dim", 8,
               "--out", "x.csv"], None, "Taylor substeps, above the cap of 10000"),
+            (["sweep", "--engine", "oracle", "--tau-end", "1e308", "--steps", 2, "--fock-dim", 8,
+              "--out", "x.csv"], None, "needs inf Taylor substeps, above the cap of 10000"),
+            (["sweep", "--gamma", "1e155", "--tau-end", 5, "--steps", 3, "--out", "x.csv"], None,
+             "gamma=1e+155 must be finite and non-negative, with a finite square"),
             (["wigner", "--x-range=-4:4:1"], None, "at least 2 points"),
             (["wigner", "--x-range=-inf:4:5"], None, "grid ranges must be finite"),
             (["wigner", "--y-range=-4:inf:5"], None, "grid ranges must be finite"),
+            (["wigner", "--x-range=-1e200:1e200:3", "--y-range=-1:1:3"], None,
+             "the grid's outermost |x + iy|^2 overflows a float"),
             (["wigner", "--fock-dim", 1], None, "unrecognized arguments: --fock-dim 1"),
             (["wigner"], {"state": "cat"}, "invalid choice: 'cat'"),
             (["sweep"], {"steps": 3.5}, "argument --steps: invalid int value: '3.5'"),
@@ -220,8 +226,9 @@ class TestCliErrors:
         ],
         ids=["sweep-k", "sweep-tau-end-inf", "sweep-gamma-inf", "verify-dt",
              "verify-tolerance-inf", "verify-tolerance-nan", "verify-tolerance-negative",
-             "sweep-oracle-long-span", "wigner-range",
-             "wigner-x-range-inf", "wigner-y-range-inf", "wigner-fock-dim", "wigner-config-state",
+             "sweep-oracle-long-span", "sweep-oracle-span-overflow", "sweep-gamma-square-overflow",
+             "wigner-range", "wigner-x-range-inf", "wigner-y-range-inf", "wigner-corner-overflow",
+             "wigner-fock-dim", "wigner-config-state",
              "config-steps-float", "config-steps-word", "config-k-bool",
              "config-plot-false", "config-out-list",
              "config-observable", "config-not-object",
@@ -240,6 +247,7 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
 
 
 def test_module_invocation(tmp_path):

@@ -2,6 +2,7 @@
 expectations and Wigner sampling, each against an independent route."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -321,7 +322,9 @@ class TestNamedState:
 
 
 def full_grid_wigner(state, x_range, y_range) -> np.ndarray:
-    """W(x, y) with the phase matrix and both einsums taken over every grid point."""
+    """W(x, y) from the eigensystem of the displacement generator in a Fock space
+    enlarged for the grid corners, with the phases and both einsums taken over
+    every grid point: a route independent of the package's Laguerre sampler."""
     state = np.asarray(state, dtype=complex)
     rho = np.outer(state, state.conj()) if state.ndim == 1 else state
     row_mass = np.sqrt(np.sum(np.abs(rho) ** 2, axis=1))
@@ -363,10 +366,34 @@ class TestWigner:
         ],
         ids=[*NAMED_STATES, "asymmetric-grid", "density-matrix"],
     )
-    def test_bitwise_equal_to_full_grid_evaluation(self, state, x_range, y_range):
-        # phases once per distinct radius must not move a single bit
+    def test_matches_enlarged_space_reference(self, state, x_range, y_range):
         got = wigner(state, x_range, y_range).values
-        assert np.array_equal(got, full_grid_wigner(state, x_range, y_range))
+        assert np.max(np.abs(got - full_grid_wigner(state, x_range, y_range))) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "state", [named_state(name, 2) for name in NAMED_STATES] + [mixed_state()],
+        ids=[*NAMED_STATES, "density-matrix"],
+    )
+    def test_matches_forty_digit_values(self, state):
+        rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+        grid = wigner(state, FIG3_RANGE, FIG3_RANGE)
+        rng = np.random.default_rng(7)
+        ix, iy = rng.integers(0, FIG3_RANGE[2], size=(2, 200))
+        got = grid.values[iy, ix]
+        expected = [lf.literal_wigner(rho, grid.xs()[i], grid.ys()[k])
+                    for i, k in zip(ix, iy)]
+        assert np.max(np.abs(got - expected)) <= 3e-16
+
+    @pytest.mark.parametrize("name", NAMED_STATES)
+    def test_wide_window_is_finite_and_fast(self, name):
+        start = time.perf_counter()
+        values = wigner(named_state(name, 2), (-100.0, 100.0, 201), (-100.0, 100.0, 201)).values
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.isfinite(values))
+
+    def test_overflowing_corner_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            wigner(minus_state(), (-1e200, 1e200, 3), (-1.0, 1.0, 3))
 
     def test_origin_values(self):
         grid_spec = (-4.0, 4.0, 41)
@@ -405,10 +432,6 @@ class TestWigner:
                         )
                 expected = (2 / np.pi) * expected.real
                 assert g.values[iy, ix] == pytest.approx(expected, abs=1e-10)
-
-    def test_truncation_guard(self):
-        with pytest.raises(TruncationInadequate):
-            wigner(minus_state(16), (-4, 4, 11), (-4, 4, 11), internal_dim=16)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):

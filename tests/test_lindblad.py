@@ -357,10 +357,11 @@ class TestTaylorPropagator:
             evolve(ModelParams(k=K, gamma=0.005), VERIFY_TAUS, stats=stats)
             assert stats["generator_applications"] == 637, evolve.__name__
 
-    def test_span_beyond_the_substep_cap_is_rejected_before_any_product(self):
+    @pytest.mark.parametrize("span", [1e9, 1e308])
+    def test_span_beyond_the_substep_cap_is_rejected_before_any_product(self, span):
         stats = {}
         with pytest.raises(ValueError, match="Taylor substeps, above the cap"):
-            oracle_sweep(ModelParams(k=K), [0.0, 1e9], IntegratorConfig(fock_dim=8), stats)
+            oracle_sweep(ModelParams(k=K), [0.0, span], IntegratorConfig(fock_dim=8), stats)
         assert stats["generator_applications"] == 0
 
 

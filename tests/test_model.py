@@ -50,6 +50,7 @@ class TestModelParams:
             {"k": 0.005, "theta": 3.2},
             {"k": 0.005, "theta": -np.pi},
             {"k": 0.005, "gamma": np.inf},
+            {"k": 0.005, "gamma": 1e155},
         ],
     )
     def test_invalid(self, kwargs):
