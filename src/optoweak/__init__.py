@@ -1,7 +1,7 @@
 """Post-selected weak measurement in single-photon Mach-Zehnder optomechanics.
 
 Closed-form conditioned-mirror observables (:mod:`optoweak.model`),
-truncated-Fock-space machinery and Wigner sampling (:mod:`optoweak.fockspace`),
+truncated-Fock-space operators and Wigner sampling (:mod:`optoweak.fockspace`),
 an independent exact Lindblad oracle (:mod:`optoweak.lindblad`), and sweep /
 figure / verification tooling (:mod:`optoweak.sweeps`, :mod:`optoweak.cli`).
 """
@@ -23,7 +23,7 @@ from .model import (
     mean_p,
     mean_q,
 )
-from .fockspace import TruncationInadequate, WignerGrid, wigner
+from .fockspace import WignerGrid, wigner
 from .lindblad import IntegratorConfig, StepUnstable, oracle_mean_p, oracle_mean_q
 from .sweeps import SweepConfig, SweepResult, VerifyReport, figure, run_sweep, verify
 
@@ -37,7 +37,6 @@ __all__ = [
     "StepUnstable",
     "SweepConfig",
     "SweepResult",
-    "TruncationInadequate",
     "VerifyReport",
     "WignerGrid",
     "amplification_factor",

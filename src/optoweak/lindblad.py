@@ -13,7 +13,11 @@ exponential to vec(rho) by truncated Taylor series (Al-Mohy & Higham
 2011).  :func:`oracle_sweep` postselects the evolved states;
 :func:`integrate` and :func:`integrate_snapshots` return them.  Every
 analytic formula in :mod:`optoweak.model` is validated
-against this oracle; nothing here shares code with the closed forms.
+against this oracle; nothing here shares code with the closed forms:
+from :mod:`optoweak.model` it takes only ``ModelParams``,
+``DegeneratePostselection`` and ``TRACE_FLOOR``, and from
+:mod:`optoweak.fockspace`, which imports nothing from ``model``, only the
+two quadratures (``tests/test_imports.py::test_oracle_reaches_no_closed_form``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DegeneratePostselection, ModelParams, TRACE_FLOOR
-from .fockspace import initial_joint_state, momentum_quadrature, position_quadrature
+from .fockspace import momentum_quadrature, position_quadrature
 
 _TRACE_DRIFT_LIMIT = 1e-6
 _HERMITICITY_LIMIT = 1e-9
@@ -128,9 +132,11 @@ def _product(diagonals: dict[int, np.ndarray]):
 
 
 def initial_joint_density(dim: int, theta: float = 0.0) -> np.ndarray:
-    """|psi><psi| of :func:`~optoweak.fockspace.initial_joint_state`: photon
-    split over both arms (arm-A phase e^{i theta}), mirror in vacuum."""
-    psi = initial_joint_state(dim, theta).ravel()
+    """|psi><psi| with the photon split over both arms (arm-A phase
+    e^{i theta}) and the mirror in vacuum: psi = (e^{i theta}|A> + |B>)
+    (x) |0> / sqrt(2), its entries at 0 and N of the ravelled (2, N) ket."""
+    psi = np.zeros(2 * dim, dtype=complex)
+    psi[0], psi[dim] = np.exp(1j * theta) / np.sqrt(2), 1 / np.sqrt(2)
     return np.outer(psi, psi.conj())
 
 

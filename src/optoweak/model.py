@@ -80,7 +80,8 @@ def coherent_amplitude(params: ModelParams, tau) -> complex:
     k (1 - e^{-i tau}) for gamma = 0.
     """
     mu = 1j + params.gamma / 2
-    return 1j * params.k / mu * (1.0 - np.exp(-mu * np.asarray(tau, dtype=float)))
+    with np.errstate(over="ignore"):  # -mu tau past the float range: -inf, and e^{-inf} = 0
+        return 1j * params.k / mu * (1.0 - np.exp(-mu * np.asarray(tau, dtype=float)))
 
 
 def _coherence_exponent(params: ModelParams, tau):
@@ -97,7 +98,8 @@ def _coherence_exponent(params: ModelParams, tau):
     """
     tau = np.asarray(tau, dtype=float)
     mu = 1j + params.gamma / 2
-    em = 1.0 - np.exp(-mu * tau)
+    with np.errstate(over="ignore"):  # as in coherent_amplitude
+        em = 1.0 - np.exp(-mu * tau)
     alpha = 1j * params.k / mu * em
     k2 = params.k**2
     return np.abs(alpha) ** 2 / 2 - (k2 / mu) * tau + (k2 / mu**2) * em
@@ -136,9 +138,10 @@ def decoherence_factor(params: ModelParams, tau) -> float:
         return tau * 0.0
     prefactor = params.k**2 * gamma / (2 * (1 + gamma**2 / 4))
     t_linear = tau.astype(complex)
-    t_relax = -np.expm1(-gamma * tau) / gamma
-    t_osc = -(np.exp((1j - gamma / 2) * tau) - 1) / (1j - gamma / 2)
-    t_osc_conj = (np.exp(-(1j + gamma / 2) * tau) - 1) / (1j + gamma / 2)
+    with np.errstate(over="ignore"):  # gamma tau past the float range: e^{-inf} = 0
+        t_relax = -np.expm1(-gamma * tau) / gamma
+        t_osc = -(np.exp((1j - gamma / 2) * tau) - 1) / (1j - gamma / 2)
+        t_osc_conj = (np.exp(-(1j + gamma / 2) * tau) - 1) / (1j + gamma / 2)
     d = prefactor * (t_linear + t_relax + t_osc + t_osc_conj)
     residue = np.max(np.abs(np.imag(d)))
     if residue > _IMAG_RESIDUE_LIMIT:

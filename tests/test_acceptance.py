@@ -12,17 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from optoweak.fockspace import (
-    coherent_vector,
-    evolve_pure,
-    expectation_p,
-    expectation_q,
-    fidelity,
-    initial_joint_state,
-    position_quadrature,
-    postselect_pure,
-    wigner,
-)
+from optoweak.fockspace import position_quadrature, wigner
 from optoweak.lindblad import IntegratorConfig
 from optoweak.model import (
     ModelParams,
@@ -34,6 +24,15 @@ from optoweak.model import (
     mean_q,
 )
 from optoweak.sweeps import figure, read_csv, verify
+from pure_reference import (
+    coherent_vector,
+    evolve_pure,
+    expectation_p,
+    expectation_q,
+    fidelity,
+    initial_joint_state,
+    postselect_pure,
+)
 
 TWO_PI = 2 * np.pi
 K = 0.005

@@ -56,6 +56,18 @@ class TestSweepCommand:
         assert np.isfinite(p_analytic).all()
         assert np.max(np.abs(p_analytic - p_oracle)) < 1e-5
 
+    def test_decay_past_the_float_range(self, tmp_path, capsys):
+        # gamma tau overflows a float; the decaying exponentials read 0, so the
+        # late rows hold the stationary q = Re(ik/mu) = k/26 (mu = i + 5)
+        out = tmp_path / "s.csv"
+        code = run_cli(["sweep", "--gamma", 10, "--tau-end", "1e308", "--steps", 3, "--out", out])
+        assert code == 0
+        assert out.read_text().splitlines()[2:] == [
+            "5.0000000000000001e+307,0.00019230769230769231,,0.5",
+            "1e+308,0.00019230769230769231,,0.5",
+        ]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
     def test_optional_plot(self, tmp_path):
         out = tmp_path / "s.csv"
         svg = tmp_path / "s.svg"

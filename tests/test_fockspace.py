@@ -1,5 +1,7 @@
-"""Fock-space kernels: operators, the factored propagator, post-selection,
-expectations and Wigner sampling, each against an independent route."""
+"""Fock-space kernels: operators and Wigner sampling from the package, and
+the pure-state reference route of ``pure_reference`` (coherent states, the
+factored propagator, post-selection, expectations), each against an
+independent route."""
 
 import math
 import time
@@ -13,8 +15,17 @@ from scipy.special import genlaguerre
 
 import literal_forms as lf
 from optoweak.fockspace import (
-    TruncationInadequate,
     annihilation_matrix,
+    momentum_quadrature,
+    NAMED_STATES,
+    named_state,
+    position_quadrature,
+    wigner,
+)
+from optoweak.model import ModelParams, coherent_amplitude, kerr_phase, mean_q
+from optoweak.sweeps import FIG3_RANGE
+from pure_reference import (
+    TruncationInadequate,
     coherent_vector,
     displacement_matrix,
     evolve_pure,
@@ -22,16 +33,9 @@ from optoweak.fockspace import (
     expectation_q,
     fidelity,
     initial_joint_state,
-    momentum_quadrature,
-    NAMED_STATES,
-    named_state,
     parity_matrix,
-    position_quadrature,
     postselect_pure,
-    wigner,
 )
-from optoweak.model import ModelParams, coherent_amplitude, kerr_phase, mean_q
-from optoweak.sweeps import FIG3_RANGE
 
 TWO_PI = 2 * np.pi
 K = 0.005

@@ -1,6 +1,8 @@
 """The package imports nothing but the standard library and numpy: numpy
 is its only runtime dependency, and the tests import scipy's matrix
-functions as independent references."""
+functions as independent references.  The oracle's imports stop short of
+the closed forms, and the test references that claim independence from
+the package import none of it."""
 
 import ast
 import sys
@@ -9,7 +11,10 @@ from pathlib import Path
 import optoweak
 
 PACKAGE = Path(optoweak.__file__).parent
+TESTS = Path(__file__).parent
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", PACKAGE.name}
+# what the oracle and the Fock-space module may take from model: no formula
+MODEL_NAMES_FOR_THE_ORACLE = {"ModelParams", "DegeneratePostselection", "TRACE_FLOOR"}
 
 
 def imported_packages(path):
@@ -24,7 +29,54 @@ def imported_packages(path):
     return {name.partition(".")[0] for name in names}
 
 
+def package_imports(path):
+    """{module: names} for every import of a package module in one of the
+    package's sources, relative or absolute, at any depth:
+    ``from .model import A`` gives {"model": {"A"}}, and a whole-module
+    import (``from . import model``, ``import optoweak.model``) the name
+    "*".  An import of the package itself counts as module "__init__"."""
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if parts[0] != PACKAGE.name:
+                    continue
+                parts = parts[1:]
+            for alias in node.names:
+                if parts:
+                    found.setdefault(parts[0], set()).add(alias.name)
+                elif (PACKAGE / f"{alias.name}.py").exists():
+                    found.setdefault(alias.name, set()).add("*")
+                else:
+                    found.setdefault("__init__", set()).add(alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE.name:
+                    found.setdefault(parts[1] if len(parts) > 1 else "__init__", set()).add("*")
+    return found
+
+
 def test_no_module_imports_scipy():
     # scipy, or any other package beyond the standard library and numpy
     found = {path.name: imported_packages(path) - ALLOWED for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: packages for name, packages in found.items() if packages} == {}
+
+
+def test_oracle_reaches_no_closed_form():
+    imports = {name: package_imports(PACKAGE / name)
+               for name in ("model.py", "lindblad.py", "fockspace.py")}
+    assert imports["model.py"] == {}
+    assert "model" not in imports["fockspace.py"]
+    for name in ("lindblad.py", "fockspace.py"):
+        assert "__init__" not in imports[name], name
+        assert imports[name].get("model", set()) <= MODEL_NAMES_FOR_THE_ORACLE, name
+
+
+def test_references_import_no_package_code():
+    # pure_reference.py is exempt: its factored propagator is written in
+    # model.kerr_phase and model.coherent_amplitude by design
+    found = {name: imported_packages(TESTS / name) & {PACKAGE.name}
+             for name in ("dense_reference.py", "literal_forms.py")}
+    assert found == {"dense_reference.py": set(), "literal_forms.py": set()}

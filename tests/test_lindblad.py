@@ -8,12 +8,6 @@ import pytest
 
 import dense_reference as dr
 import literal_forms as lf
-from optoweak.fockspace import (
-    coherent_vector,
-    evolve_pure,
-    fidelity,
-    initial_joint_state,
-)
 from optoweak.lindblad import (
     IntegratorConfig,
     StepUnstable,
@@ -40,6 +34,7 @@ from optoweak.model import (
     mean_p,
     mean_q,
 )
+from pure_reference import coherent_vector, evolve_pure, fidelity, initial_joint_state
 
 TWO_PI = 2 * np.pi
 K = 0.005
@@ -375,4 +370,14 @@ class TestTaylorPropagator:
 ], ids=["exact-nan", "exact-inf", "exact-minus-inf", "snapshots-nan", "integrate-inf"])
 def test_non_finite_snapshot_time_is_rejected(evolve):
     with pytest.raises(ValueError, match="snapshot times must be finite"):
+        evolve()
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda: oracle_sweep(ModelParams(k=K), [1.0, 0.5]),
+    lambda: oracle_sweeps([ModelParams(k=K)], [-0.5, 1.0]),
+    lambda: integrate_snapshots(ModelParams(k=K), [-1.0]),
+], ids=["exact-decreasing", "exact-negative-start", "snapshots-negative"])
+def test_unordered_snapshot_time_is_rejected(evolve):
+    with pytest.raises(ValueError, match="snapshot times must be non-decreasing and non-negative"):
         evolve()

@@ -197,6 +197,18 @@ class TestConditionedMoments:
         assert np.isfinite(q[1]) and np.isfinite(p[1])
 
 
+    def test_decay_past_the_float_range(self):
+        # gamma tau = 1e400: every decaying exponential is 0, so q + ip = ik/mu
+        # with mu = i + gamma/2, and the coherence is fully lost
+        p = ModelParams(k=K, gamma=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, mom, prob = conditioned_moments(p, np.array([1e300]))
+        mu_squared = 1 + p.gamma**2 / 4
+        assert q[0] == pytest.approx(K / mu_squared, rel=1e-12)
+        assert mom[0] == pytest.approx(K * p.gamma / 2 / mu_squared, rel=1e-12)
+        assert prob[0] == 0.5
+
 class TestMeanQ:
     @pytest.mark.parametrize("tau", [0.31, 2.0, np.pi, 6.2, 11.7])
     @pytest.mark.parametrize("theta", [0.0, 0.001, -0.001])
