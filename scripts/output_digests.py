@@ -43,6 +43,11 @@ COMMANDS = {
     **{f"wigner-wide-{state}": ["wigner", "--state", state, "--x-range=-12:12:49",
                                 "--y-range=-12:12:49"]
        for state in ("one-phonon", "minus-superposition")},
+    # gamma tau past the float range, where the decaying exponential reads 0
+    "sweep-decayed": ["sweep", "--gamma", "10", "--tau-end", "1e308", "--steps", "3"],
+    # a large Kerr phase, |phi| up to 0.5
+    "sweep-kerr": ["sweep", "--k", "0.25", "--gamma", "0.05", "--theta", "0.3", "--tau-end", "40",
+                   "--steps", "400", "--observable", "both"],
     "sweep-defaults": ["sweep"],
     "wigner-defaults": ["wigner"],
 }

@@ -8,6 +8,7 @@ mirror density matrix ``(N, N)``.  This module imports nothing from
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +110,10 @@ def wigner(
     x_min, x_max, nx = x_range
     y_min, y_max, ny = y_range
     if not (-np.inf < x_min < x_max < np.inf and -np.inf < y_min < y_max < np.inf
+            and isinstance(nx, numbers.Integral) and isinstance(ny, numbers.Integral)
             and nx >= 2 and ny >= 2):
-        raise ValueError("grid ranges must be finite and increasing with at least 2 points")
+        raise ValueError("grid ranges must be finite and increasing with an integral count "
+                         "of at least 2 points")
     x_far, y_far = float(max(-x_min, x_max)), float(max(-y_min, y_max))
     if x_far * x_far + y_far * y_far == np.inf:  # Python floats: no overflow warning
         raise ValueError("the grid's outermost |x + iy|^2 overflows a float")

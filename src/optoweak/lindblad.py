@@ -22,6 +22,7 @@ two quadratures (``tests/test_imports.py::test_oracle_reaches_no_closed_form``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.01):
             raise ValueError(f"dt={self.dt} outside (0, 0.01]")
-        if self.fock_dim < 8:
-            raise ValueError(f"fock_dim={self.fock_dim} below the minimum of 8")
+        if not (isinstance(self.fock_dim, numbers.Integral) and self.fock_dim >= 8):
+            raise ValueError(f"fock_dim={self.fock_dim!r} must be an integer of at least 8")
 
 
 def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:

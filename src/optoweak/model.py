@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TRACE_FLOOR = 1e-300
-_IMAG_RESIDUE_LIMIT = 1e-9
 
 
 class DegeneratePostselection(Exception):
@@ -73,15 +72,23 @@ def kerr_phase(params: ModelParams, tau) -> float:
     return params.k**2 * (tau - np.sin(tau))
 
 
+def _decay(params: ModelParams, tau):
+    """tau as floats, mu = i + gamma/2 and em = 1 - e^{-mu tau}, the one
+    decaying exponential of the closed forms."""
+    tau = np.asarray(tau, dtype=float)
+    mu = 1j + params.gamma / 2
+    with np.errstate(over="ignore"):  # -mu tau past the float range: -inf, and e^{-inf} = 0
+        return tau, mu, 1.0 - np.exp(-mu * tau)
+
+
 def coherent_amplitude(params: ModelParams, tau) -> complex:
     """Coherent amplitude of the mirror generated by one photon in arm A.
 
     ik/(i + gamma/2) * (1 - exp(-(i + gamma/2) tau)); reduces to
     k (1 - e^{-i tau}) for gamma = 0.
     """
-    mu = 1j + params.gamma / 2
-    with np.errstate(over="ignore"):  # -mu tau past the float range: -inf, and e^{-inf} = 0
-        return 1j * params.k / mu * (1.0 - np.exp(-mu * np.asarray(tau, dtype=float)))
+    _, mu, em = _decay(params, tau)
+    return 1j * params.k / mu * em
 
 
 def _coherence_exponent(params: ModelParams, tau):
@@ -96,10 +103,7 @@ def _coherence_exponent(params: ModelParams, tau):
 
     so the decoherence exponent is -Re E and the coherence phase is Im E.
     """
-    tau = np.asarray(tau, dtype=float)
-    mu = 1j + params.gamma / 2
-    with np.errstate(over="ignore"):  # as in coherent_amplitude
-        em = 1.0 - np.exp(-mu * tau)
+    tau, mu, em = _decay(params, tau)
     alpha = 1j * params.k / mu * em
     k2 = params.k**2
     return np.abs(alpha) ** 2 / 2 - (k2 / mu) * tau + (k2 / mu**2) * em
@@ -120,36 +124,29 @@ def coherence_phase(params: ModelParams, tau) -> float:
 def decoherence_factor(params: ModelParams, tau) -> float:
     """Damping-induced decoherence exponent D(gamma, tau) >= 0.
 
-    Evaluated term by term in complex arithmetic as
+    Evaluated term by term as
 
         D = k^2 gamma / (2 (1 + gamma^2/4)) * [ tau + (1 - e^{-gamma tau})/gamma
-            - (e^{(i - gamma/2) tau} - 1)/(i - gamma/2)
-            + (e^{-(i + gamma/2) tau} - 1)/(i + gamma/2) ],
+            + conj(t) + t ],   t = (e^{-mu tau} - 1)/mu,  mu = i + gamma/2,
 
-    whose oscillatory terms are complex conjugates, so the imaginary part
-    of the sum is pure rounding noise.  A residue above 1e-9 signals a
-    transcription error and raises.  At tau << 1 the bracket cancels to
-    O(tau^3) and rounding can leave it near -1e-19; it is clamped at 0, so
-    the success probability built from it stays non-negative.
+    whose oscillatory terms are added as an exact conjugate pair, so the
+    sum is real by construction.  Each term is halved before the sum and
+    the product doubled after, scalings exact for normal floats that keep the
+    bracket finite where gamma tau << 1 and tau nears the float maximum.
+    At tau << 1 the bracket cancels to O(tau^3) and rounding can leave it
+    near -1e-19; it is clamped at 0, so the success probability built from
+    it stays non-negative.
     """
-    tau = np.asarray(tau, dtype=float)
+    if params.gamma == 0.0:
+        return np.asarray(tau, dtype=float) * 0.0
+    tau, mu, em = _decay(params, tau)
     gamma = params.gamma
-    if gamma == 0.0:
-        return tau * 0.0
     prefactor = params.k**2 * gamma / (2 * (1 + gamma**2 / 4))
-    t_linear = tau.astype(complex)
     with np.errstate(over="ignore"):  # gamma tau past the float range: e^{-inf} = 0
         t_relax = -np.expm1(-gamma * tau) / gamma
-        t_osc = -(np.exp((1j - gamma / 2) * tau) - 1) / (1j - gamma / 2)
-        t_osc_conj = (np.exp(-(1j + gamma / 2) * tau) - 1) / (1j + gamma / 2)
-    d = prefactor * (t_linear + t_relax + t_osc + t_osc_conj)
-    residue = np.max(np.abs(np.imag(d)))
-    if residue > _IMAG_RESIDUE_LIMIT:
-        raise ArithmeticError(
-            f"decoherence factor has imaginary residue {residue:.3e}; "
-            "the bracket terms are no longer conjugate"
-        )
-    return np.maximum(np.real(d), 0.0)
+    t = -em / mu
+    half = tau / 2 + t_relax / 2 + np.conj(t) / 2 + t / 2
+    return np.maximum(2 * (prefactor * np.real(half)), 0.0)
 
 
 def conditioned_state(params: ModelParams, tau) -> ConditionedMirrorState:
@@ -185,15 +182,16 @@ def conditioned_moments(params: ModelParams, tau):
         s = |varphi|^2 / 2 + D,
 
     with both parts evaluated as real expressions (the complex product
-    rounds differently in the last digit).  Where p_success is exactly 0
-    the moments are NaN, without a warning; callers decide which small
+    rounds differently in the last digit).  Where p_success is below
+    TRACE_FLOOR the moments are NaN, without a warning, as in the oracle's
+    sweeps and where mean_q/mean_p raise; callers decide which larger
     probabilities still count as degenerate.  Returns (q, p, success_prob).
     """
     st = conditioned_state(params, tau)
     prob = st.success_prob
     s = np.abs(st.varphi) ** 2 / 2 + st.decoherence
     kick = np.exp(-s) * np.sin(st.total_phase)
-    denom = np.where(prob > 0, 2 * prob, np.nan)
+    denom = np.where(prob >= TRACE_FLOOR, 2 * prob, np.nan)
     q = np.real(st.varphi) + kick * np.imag(st.varphi) / denom
     p = np.imag(st.varphi) - kick * np.real(st.varphi) / denom
     return q, p, prob

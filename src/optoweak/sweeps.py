@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,8 +63,8 @@ class SweepConfig:
             raise ValueError("tau_start must be below tau_end")
         if self.tau_start < 0:
             raise ValueError("tau_start must be non-negative")
-        if self.steps < 2:
-            raise ValueError("a sweep needs at least 2 points")
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 2):
+            raise ValueError("a sweep needs an integral number of at least 2 points")
         if self.observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
         if self.engine not in ENGINES:
@@ -153,17 +154,6 @@ def emit_csv(result: SweepResult, path) -> Path:
         return _write_csv(path, CSV_HEADER, columns)
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
-
-
-def read_csv(path) -> dict[str, np.ndarray]:
-    """Read an emitted sweep CSV back into column arrays (empty fields -> NaN)."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    names = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    cols = {}
-    for j, name in enumerate(names):
-        cols[name] = np.array([float(r[j]) if r[j] else np.nan for r in rows])
-    return cols
 
 
 _AXIS_TAU = "&#969;<tspan baseline-shift=\"sub\" font-size=\"10\">m</tspan>t"

@@ -440,6 +440,8 @@ class TestWigner:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             wigner(minus_state(), (4, -4, 11), (-4, 4, 11))
+        with pytest.raises(ValueError):
+            wigner(minus_state(), (-4, 4, 11.5), (-4, 4, 11))
 
     @pytest.mark.parametrize("x_range, y_range", [
         ((-np.inf, 4.0, 5), (-4.0, 4.0, 5)),

@@ -212,6 +212,8 @@ class TestIntegrate:
             IntegratorConfig(dt=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(fock_dim=4)
+        with pytest.raises(ValueError):
+            IntegratorConfig(fock_dim=16.5)
         with pytest.raises(TypeError):
             IntegratorConfig(method="euler")
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import literal_forms as lf
 from optoweak.model import (
+    TRACE_FLOOR,
     DegeneratePostselection,
     ModelParams,
     amplification_factor,
@@ -196,6 +197,17 @@ class TestConditionedMoments:
         assert np.isnan(q[0]) and np.isnan(p[0])
         assert np.isfinite(q[1]) and np.isfinite(p[1])
 
+    def test_nan_below_the_trace_floor(self):
+        # P = k^2 tau^2 / 4 = 6.25e-306 at tau = 1e-150: below the floor at
+        # which mean_q raises, so the triple holds NaN moments there too
+        p = ModelParams(k=K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, mom, prob = conditioned_moments(p, np.array([1e-150]))
+        assert 0.0 < prob[0] < TRACE_FLOOR
+        assert np.isnan(q[0]) and np.isnan(mom[0])
+        with pytest.raises(DegeneratePostselection):
+            mean_q(p, 1e-150)
 
     def test_decay_past_the_float_range(self):
         # gamma tau = 1e400: every decaying exponential is 0, so q + ip = ik/mu
@@ -208,6 +220,13 @@ class TestConditionedMoments:
         assert q[0] == pytest.approx(K / mu_squared, rel=1e-12)
         assert mom[0] == pytest.approx(K * p.gamma / 2 / mu_squared, rel=1e-12)
         assert prob[0] == 0.5
+        # gamma tau = 8.5 with tau near the float maximum: tau + (1 - e^{-gamma tau})/gamma
+        # alone passes it; D from a 50-digit evaluation of the bracket
+        tiny = ModelParams(k=K, gamma=5e-308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = decoherence_factor(tiny, np.array([1.7e308]))
+        assert d[0] == pytest.approx(1.1874745664538736e-4, rel=1e-9)
 
 class TestMeanQ:
     @pytest.mark.parametrize("tau", [0.31, 2.0, np.pi, 6.2, 11.7])

@@ -25,7 +25,6 @@ from optoweak.sweeps import (
     _write_csv,
     emit_plot,
     figure,
-    read_csv,
     run_sweep,
     svg_heatmap,
     verify,
@@ -69,6 +68,7 @@ class TestSweepConfig:
             {"tau_end": float("inf")},
             {"tau_end": float("nan")},
             {"steps": 1},
+            {"steps": 2.5},
             {"observable": "x"},
             {"engine": "exact"},
         ],
@@ -152,7 +152,7 @@ class TestCsv:
 
     def test_roundtrip(self, tmp_path):
         r = run_sweep(tiny_config())
-        cols = read_csv(emit_csv(r, tmp_path / "s.csv"))
+        cols = np.genfromtxt(emit_csv(r, tmp_path / "s.csv"), delimiter=",", names=True)
         assert np.allclose(cols["tau"], r.tau)
         assert np.allclose(cols["q_over_sigma"], r.q, rtol=1e-15)
 
@@ -429,7 +429,7 @@ class TestFigures:
         paths = figure("fig2", tmp_path)
         names = sorted(p.name for p in paths)
         assert names == ["fig2.svg", "fig2_gamma0.005.csv", "fig2_gamma0.csv"]
-        cols = read_csv(tmp_path / "fig2_gamma0.csv")
+        cols = np.genfromtxt(tmp_path / "fig2_gamma0.csv", delimiter=",", names=True)
         assert np.nanmax(cols["q_over_sigma"]) == pytest.approx(1.0, rel=0.02)
         assert np.nanmin(cols["q_over_sigma"]) == pytest.approx(-1.0, rel=0.02)
         svg = (tmp_path / "fig2.svg").read_text()
@@ -437,14 +437,14 @@ class TestFigures:
 
     def test_fig4_outputs(self, tmp_path):
         figure("fig4", tmp_path)
-        cols = read_csv(tmp_path / "fig4.csv")
+        cols = np.genfromtxt(tmp_path / "fig4.csv", delimiter=",", names=True)
         assert np.all(np.isnan(cols["q_over_sigma"]))
         live = np.isfinite(cols["p_dimensionless"])
         assert np.nanmax(np.abs(cols["p_dimensionless"][live])) < 0.2
 
     def test_fig5a_outputs(self, tmp_path):
         figure("fig5a", tmp_path)
-        cols = read_csv(tmp_path / "fig5a_gamma0.csv")
+        cols = np.genfromtxt(tmp_path / "fig5a_gamma0.csv", delimiter=",", names=True)
         early = cols["tau"] < 1.0
         assert np.nanmax(cols["q_over_sigma"][early]) > 0.97
 
