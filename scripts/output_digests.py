@@ -38,6 +38,9 @@ COMMANDS = {
                       "--plot=sweep.svg"],
     "sweep-both": [*SWEEP_BOTH, "--tau-end", "12.566", "--steps", "60"],
     "sweep-both-short": [*SWEEP_BOTH, "--tau-end", "1e-4", "--steps", "30"],
+    # about 21 snapshots to one Taylor substep of the oracle
+    "sweep-dense-oracle": ["sweep", "--engine", "both", "--observable", "both", "--gamma", "0.05",
+                           "--theta", "0.001", "--tau-end", "12.566", "--steps", "400"],
     **{f"wigner-{state}": ["wigner", "--state", state] for state in NAMED_STATES},
     # windows reaching past the fig3 corner, where the displaced states' tails lie
     **{f"wigner-wide-{state}": ["wigner", "--state", state, "--x-range=-12:12:49",

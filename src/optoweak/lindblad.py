@@ -10,8 +10,11 @@ joint rho, under one time-independent generator.  H and C commute with
 |A><A|, so it has six non-zero diagonals (offsets 0, -+1, -+2N and
 2N + 1), held in numpy arrays, and one propagator applies its exact
 exponential to vec(rho) by truncated Taylor series (Al-Mohy & Higham
-2011).  :func:`oracle_sweep` postselects the evolved states;
-:func:`integrate` and :func:`integrate_snapshots` return them.  Every
+2011), with dense output: every snapshot time within one substep's
+reach sums the same series terms with its own weights.
+:func:`oracle_sweep` postselects the evolved states, every phase-shifter
+theta from the same two traces per observable; :func:`integrate` and
+:func:`integrate_snapshots` return them.  Every
 analytic formula in :mod:`optoweak.model` is validated
 against this oracle; nothing here shares code with the closed forms:
 from :mod:`optoweak.model` it takes only ``ModelParams``,
@@ -156,21 +159,29 @@ def _shift(generator: dict[int, np.ndarray]):
 
 
 def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
-    """advance(v, span) for :func:`_snapshots`: exp(span L) v by truncated
-    Taylor series, algorithm 3.2 of Al-Mohy & Higham (2011).
+    """(advance, norm) for :func:`_snapshots`: advance(v, offsets) returns
+    exp(t L) v as one row per t of the non-decreasing ``offsets``, by
+    truncated Taylor series (algorithm 3.2 of Al-Mohy & Higham 2011) with
+    dense output; norm is the exact ||L - mu I||_1.
 
-    The trace shift, the shifted diagonals and their exact 1-norm
-    (:func:`_shift`) depend on the generator alone and are taken once; each
-    span only picks the degree m and the number of substeps s that
-    minimise m s, and raises ValueError before any product when s exceeds
-    ``_MAX_SUBSTEPS``.
+    The trace shift, the shifted diagonals and their 1-norm
+    (:func:`_shift`) are taken once.  Each call picks the degree m and the
+    number of substeps s that minimise m s for the last offset, and raises
+    ValueError before any product when s exceeds ``_MAX_SUBSTEPS``.  After
+    s - 1 plain substeps of h = offsets[-1] / s, term j of the last one
+    enters the sum of each offset t weighted by r^j, r = 1 - (offsets[-1]
+    - t) / h, and each sum is scaled by e^{mu r h}.  Every offset must lie
+    in that last substep, which holds when offsets[-1] norm <= theta_55
+    (then s = 1).  As r^j <= 1, the stopping test on the end-of-substep
+    sum (r = 1) bounds every other sum too.
     """
     mu, shifted, norm = _shift(generator)
     apply = _product(shifted)
     degrees = np.fromiter(_THETA.keys(), dtype=int)
     thetas = np.fromiter(_THETA.values(), dtype=float)
 
-    def advance(v, span):
+    def advance(v, offsets):
+        span = offsets[-1]
         with np.errstate(over="ignore"):  # a count past the float range is inf, above the cap
             substeps = np.ceil(span * norm / thetas)
             best = np.argmin(degrees * substeps)  # the first, i.e. lowest, degree on a tie
@@ -178,25 +189,30 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
             raise ValueError(f"a span of {span:g} needs {substeps[best]:.3g} Taylor "
                              f"substeps, above the cap of {_MAX_SUBSTEPS}")
         m, s = (int(degrees[best]), int(substeps[best])) if substeps[best] else (0, 1)
-        eta = np.exp(span * mu / s)
+        h = span / s
+        r = 1 - (span - offsets) / h if h else np.ones(offsets.size)
         applications = 0
-        for _ in range(s):
+        for substep in range(s):
+            weights = r if substep == s - 1 else np.ones(1)
+            sums = np.repeat(v[None], weights.size, axis=0)
+            parts = sums.view(float)  # real weights scale real and imaginary parts alike
             term = v
             c1 = np.max(np.abs(term))
             for j in range(m):
                 term = (span / (s * (j + 1))) * apply(term)
                 applications += 1
                 c2 = np.max(np.abs(term))
-                v = v + term
-                if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(v)):  # two terms below tolerance
+                parts += (weights ** (j + 1))[:, None] * term.view(float)
+                if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(sums[-1])):  # two terms below tolerance
                     break
                 c1 = c2
-            v = eta * v
+            sums *= np.exp(weights * span * mu / s)[:, None]
+            v = sums[-1]
         if stats is not None:
             stats["generator_applications"] = stats.get("generator_applications", 0) + applications
-        return v
+        return sums
 
-    return advance
+    return advance, norm
 
 
 def _finalize(rho, stats):
@@ -219,19 +235,29 @@ def _finalize(rho, stats):
 
 def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None):
     """Yield the state at each time of ``taus``, one at a time, from ``rho``
-    at 0 under the generator of (k, gamma): :func:`_taylor` carries the
-    ``ravel()`` of the last finalized snapshot to the next time."""
+    at 0 under the generator of (k, gamma).
+
+    Consecutive times group into chunks that one Taylor substep serves:
+    each chunk runs from the last finalized snapshot at c and takes every
+    following time t with (t - c) ||L||_1 <= theta_55 (at least one), so a
+    longer gap is a chunk of its own.  :func:`_taylor` carries the
+    ``ravel()`` of the snapshot at c to every time of the chunk at once.
+    """
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("snapshot times must be finite")
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
-    advance = _taylor(_block_generator(k, gamma, rho.shape[0] // 2), stats)
-    current = 0.0
-    for t in taus:
-        rho = _finalize(advance(rho.ravel(), t - current).reshape(rho.shape), stats)
-        current = t
-        yield rho
+    advance, norm = _taylor(_block_generator(k, gamma, rho.shape[0] // 2), stats)
+    current, start = 0.0, 0
+    while start < taus.size:
+        offsets = taus[start:] - current
+        with np.errstate(over="ignore"):  # a span past the float range is inf, beyond reach
+            stop = start + max(1, int(np.searchsorted(offsets * norm, _THETA[55], side="right")))
+        for state in advance(rho.ravel(), offsets[:stop - start]):
+            rho = _finalize(state.reshape(rho.shape), stats)
+            yield rho
+        current, start = taus[stop - 1], stop
 
 
 def integrate(
@@ -282,6 +308,24 @@ def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0
     return mirror, np.trace(mirror).real
 
 
+def _dark_port_traces(rho: np.ndarray, shifts: np.ndarray, transposed: np.ndarray) -> np.ndarray:
+    """tr(M_theta O) for every e^{i theta} - 1 of ``shifts`` (rows) and every
+    Hermitian O (columns, given as the stack of O^T), M_theta being the
+    unnormalized dark-port mirror state of :func:`postselect_density`.
+
+    With AB and BA = AB^dag the cross blocks of rho (``_finalize`` makes
+    rho exactly Hermitian), tr(M_theta O) = tr(M_0 O) - Re((e^{i theta} - 1)
+    tr(AB O)), so two traces per operator serve every theta.  The near
+    cancellation of the dark port stays entry by entry in M_0 = (AA - AB
+    - BA + BB) / 2; only the small theta correction is taken after the sum.
+    """
+    dim = rho.shape[0] // 2
+    (aa, ab), (ba, bb) = rho.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3)
+    unshifted = (transposed * ((aa - ab - ba + bb) / 2)).sum(axis=(1, 2)).real
+    cross = (transposed * ab).sum(axis=(1, 2))
+    return unshifted - (shifts[:, None] * cross).real
+
+
 def _oracle_point(params: ModelParams, tau: float, config: IntegratorConfig | None):
     q, p, prob = oracle_sweep(params, [tau], config)
     if prob[0] < TRACE_FLOOR:
@@ -312,10 +356,11 @@ def oracle_sweeps(
 
     theta enters only at postselection, so the group evolves once from the
     unshifted source: the truncated-Taylor propagator of :func:`_taylor`
-    carries vec(rho) from one snapshot time to the next, and
-    every member postselects each snapshot as it streams past.  Returns one (q, p, prob)
-    triple of arrays per member; times where the dark-port probability is
-    at the floor give NaN observables instead of raising.
+    carries vec(rho) through the snapshot times, and every member takes its
+    unnormalized probability and moments from the same two traces per
+    operator of each snapshot (:func:`_dark_port_traces`).  Returns one
+    (q, p, prob) triple of arrays per member; times where the dark-port
+    probability is at the floor give NaN observables instead of raising.
     """
     config = config or IntegratorConfig()
     if len({(params.k, params.gamma) for params in group}) > 1:
@@ -323,17 +368,17 @@ def oracle_sweeps(
     if not group:
         return []
     taus = np.asarray(taus, dtype=float)
-    q, p, prob = (np.full((len(group), taus.size), np.nan) for _ in range(3))
     dim = config.fock_dim
-    xop, pop = position_quadrature(dim), momentum_quadrature(dim)
+    transposed = np.stack([np.eye(dim), position_quadrature(dim).T, momentum_quadrature(dim).T])
+    shifts = np.expm1(1j * np.array([params.theta for params in group]))
+    traces = np.empty((len(group), 3, taus.size))
     snapshots = _snapshots(group[0].k, group[0].gamma, taus, initial_joint_density(dim), stats)
     for i, rho in enumerate(snapshots):
-        for j, params in enumerate(group):
-            mirror, prob[j, i] = postselect_density(rho, theta=params.theta)
-            if prob[j, i] >= TRACE_FLOOR:
-                q[j, i] = np.trace(mirror @ xop).real / prob[j, i]
-                p[j, i] = np.trace(mirror @ pop).real / prob[j, i]
-    return list(zip(q, p, prob))
+        traces[..., i] = _dark_port_traces(rho, shifts, transposed)
+    prob = traces[:, :1]
+    moments = np.full_like(traces[:, 1:], np.nan)
+    np.divide(traces[:, 1:], prob, out=moments, where=prob >= TRACE_FLOOR)
+    return list(zip(moments[:, 0], moments[:, 1], prob[:, 0]))
 
 
 def oracle_sweep(

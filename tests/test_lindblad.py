@@ -19,7 +19,9 @@ from optoweak.lindblad import (
     oracle_sweep,
     oracle_sweeps,
     postselect_density,
+    _THETA,
     _block_generator,
+    _dark_port_traces,
     _product,
     _shift,
     _taylor,
@@ -52,6 +54,17 @@ def dense_step_propagators():
 def block_rhs(k, gamma, rho):
     """d rho / d tau through the package's block generator."""
     return _product(_block_generator(k, gamma, rho.shape[0] // 2))(rho.ravel()).reshape(rho.shape)
+
+
+def expm_multiply_reference(generator):
+    """(t, v) -> exp(t L) v by scipy's expm_multiply, L as a CSR matrix."""
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    n = generator[0].size
+    matrix = sparse.diags([c[max(0, -d):n - max(0, d)] for d, c in generator.items()],
+                          list(generator), format="csr")
+    return lambda t, v: expm_multiply(t * matrix, v)
 
 
 def analytic_joint_density(params, tau, dim):
@@ -257,6 +270,20 @@ class TestPostselectDensity:
         assert prob_a == pytest.approx(prob_b, abs=1e-12)
         assert np.max(np.abs(mirror_a - mirror_b)) < 1e-12
 
+    def test_theta_affine_traces_match_postselect_density(self):
+        from optoweak.fockspace import momentum_quadrature, position_quadrature
+
+        operators = [np.eye(16), position_quadrature(16), momentum_quadrature(16)]
+        transposed = np.stack([o.T for o in operators])
+        thetas = [0.0, 0.001, -0.001, 0.3]
+        for gamma in (0.0, 0.005):
+            for rho in integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS):
+                traces = _dark_port_traces(rho, np.expm1(1j * np.array(thetas)), transposed)
+                for theta, row in zip(thetas, traces):
+                    mirror, _ = postselect_density(rho, theta=theta)
+                    reference = [np.trace(mirror @ o).real for o in operators]
+                    assert np.max(np.abs(row - reference)) <= 1e-15
+
 
 class TestOracleObservables:
     def test_short_time_equivalence(self):
@@ -333,26 +360,53 @@ class TestTaylorPropagator:
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
     def test_matches_expm_multiply(self, dim, k, gamma):
-        from scipy import sparse
-        from scipy.sparse.linalg import expm_multiply
-
         generator = _block_generator(k, gamma, dim)
-        n = generator[0].size
-        matrix = sparse.diags([c[max(0, -d):n - max(0, d)] for d, c in generator.items()],
-                              list(generator), format="csr")
+        reference = expm_multiply_reference(generator)
         v = initial_joint_density(dim, theta=0.3).ravel()
-        advance = _taylor(generator, None)
+        advance, _ = _taylor(generator, None)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
-            reference = expm_multiply(span * matrix, v)
-            assert np.max(np.abs(advance(v, span) - reference)) <= 1e-13, span
+            assert np.max(np.abs(advance(v, np.array([span]))[0] - reference(span, v))) <= 1e-13, span
+
+    @pytest.mark.parametrize("dim", [16, 32])
+    @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
+    def test_dense_output_matches_one_offset_calls(self, dim, k, gamma):
+        generator = _block_generator(k, gamma, dim)
+        reference = expm_multiply_reference(generator)
+        v = initial_joint_density(dim, theta=0.3).ravel()
+        advance, norm = _taylor(generator, None)
+        reach = _THETA[55] / norm          # the longest span of one degree-55 substep
+        while reach * norm > _THETA[55]:
+            reach = np.nextafter(reach, 0)
+        offsets = np.array([0.0, 0.3 * reach, 0.3 * reach, 0.71 * reach, reach])
+        dense = advance(v, offsets)
+        assert dense.shape == (offsets.size, v.size)
+        assert np.array_equal(dense[0], v) and np.array_equal(dense[1], dense[2])
+        for t, state in zip(offsets, dense):
+            assert np.max(np.abs(state - advance(v, np.array([t]))[0])) <= 1e-15, t
+            assert np.max(np.abs(state - reference(t, v))) <= 1e-13, t
 
     def test_generator_applications_on_the_verify_grid(self):
-        # expm_multiply made 637 products for the same 50 snapshots
+        # 397 products for the 50 snapshots; 637 with one Taylor expansion
+        # per gap, and expm_multiply made 637 too
         for evolve in (oracle_sweep, integrate_snapshots):
             stats = {}
             evolve(ModelParams(k=K, gamma=0.005), VERIFY_TAUS, stats=stats)
-            assert stats["generator_applications"] == 637, evolve.__name__
+            assert stats["generator_applications"] == 397, evolve.__name__
+
+    def test_generator_applications_on_the_fock32_grid(self):
+        # the benchmark's oracle-fock32 sweep: 200 snapshots over 4 pi at
+        # Fock 32, five to a substep; 1791 products with one expansion per gap
+        stats = {}
+        oracle_sweep(ModelParams(k=K, gamma=0.005, theta=0.001), np.linspace(0, 4 * np.pi, 200),
+                     IntegratorConfig(fock_dim=32), stats)
+        assert stats["generator_applications"] == 687
+
+    def test_repeated_sweeps_are_bit_equal(self):
+        p = ModelParams(k=K, gamma=0.005, theta=0.001)
+        first, second = (oracle_sweep(p, VERIFY_TAUS) for _ in range(2))
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b, equal_nan=True)
 
     @pytest.mark.parametrize("span", [1e9, 1e308])
     def test_span_beyond_the_substep_cap_is_rejected_before_any_product(self, span):
