@@ -10,11 +10,12 @@ joint rho, under one time-independent generator.  H and C commute with
 |A><A|, so it has six non-zero diagonals (offsets 0, -+1, -+2N and
 2N + 1), held in numpy arrays, and one propagator applies its exact
 exponential to vec(rho) by truncated Taylor series (Al-Mohy & Higham
-2011), with dense output: every snapshot time within one substep's
-reach sums the same series terms with its own weights.
-:func:`oracle_sweep` postselects the evolved states, every phase-shifter
-theta from the same two traces per observable; :func:`integrate` and
-:func:`integrate_snapshots` return them.  Every
+2011), with dense output: the snapshot times within one substep's reach
+form a chunk, whose states one product forms from that substep's stored
+series terms, each time with its own weights.  :func:`oracle_sweep`
+postselects each chunk in one call, every phase-shifter theta from the
+same two traces per observable; :func:`integrate` and
+:func:`integrate_snapshots` return the states.  Every
 analytic formula in :mod:`optoweak.model` is validated
 against this oracle; nothing here shares code with the closed forms:
 from :mod:`optoweak.model` it takes only ``ModelParams``,
@@ -40,6 +41,12 @@ _HERMITICITY_LIMIT = 1e-9
 # polynomials of degree m give exp(t A) v to that tolerance while
 # t ||A||_1 <= s theta_m.
 _TAYLOR_TOL = 2.0 ** -53
+# The stopping test needs ||sum||_inf only where the two last terms are below
+# tolerance against B = ||v||_inf + sum_j ||term_j||_inf.  Rounding in the at
+# most 56 summands of the sum and of B, and in their magnitudes, moves
+# ||sum||_inf / B by at most about (2 * 55 + 4) 2^-53 = 1.3e-14 above 1, so
+# B (1 + 2^-44) is a floating-point upper bound of ||sum||_inf.
+_BOUND_SLACK = 1 + 2.0 ** -44
 _THETA = {
     1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
     6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
@@ -165,20 +172,28 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
     dense output; norm is the exact ||L - mu I||_1.
 
     The trace shift, the shifted diagonals and their 1-norm
-    (:func:`_shift`) are taken once.  Each call picks the degree m and the
-    number of substeps s that minimise m s for the last offset, and raises
-    ValueError before any product when s exceeds ``_MAX_SUBSTEPS``.  After
-    s - 1 plain substeps of h = offsets[-1] / s, term j of the last one
-    enters the sum of each offset t weighted by r^j, r = 1 - (offsets[-1]
-    - t) / h, and each sum is scaled by e^{mu r h}.  Every offset must lie
-    in that last substep, which holds when offsets[-1] norm <= theta_55
-    (then s = 1).  As r^j <= 1, the stopping test on the end-of-substep
-    sum (r = 1) bounds every other sum too.
+    (:func:`_shift`) are taken once, and so is one buffer for the terms
+    of a substep.  Each call picks the degree m and the number of substeps
+    s that minimise m s for the last offset, and raises ValueError before
+    any product when s exceeds ``_MAX_SUBSTEPS``.  Each substep stores its
+    terms (term 0 is its start) and adds them into a running sum, the
+    state at its end.  After s - 1 plain substeps of h = offsets[-1] / s,
+    one real product weights term j of the last substep by r^j, r = 1 -
+    (offsets[-1] - t) / h, for every offset t at once, and each row is
+    scaled by e^{mu r h}; the last row (r = 1) is then the running sum
+    itself, so the state that seeds the next call does not depend on the
+    other offsets.  Every offset must lie in that last substep, which holds
+    when offsets[-1] norm <= theta_55 (then s = 1).  As r^j <= 1, the
+    stopping test on the running sum bounds every other row too.  It takes
+    ||sum||_inf only once the two last terms are below tolerance against
+    the triangle bound of the sum (``_BOUND_SLACK``), so every decision,
+    and every product count, is that of the test on ||sum||_inf alone.
     """
     mu, shifted, norm = _shift(generator)
     apply = _product(shifted)
     degrees = np.fromiter(_THETA.keys(), dtype=int)
     thetas = np.fromiter(_THETA.values(), dtype=float)
+    terms = np.empty((degrees[-1] + 1, shifted[0].size), dtype=complex)  # rows touched only when used
 
     def advance(v, offsets):
         span = offsets[-1]
@@ -189,28 +204,38 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
             raise ValueError(f"a span of {span:g} needs {substeps[best]:.3g} Taylor "
                              f"substeps, above the cap of {_MAX_SUBSTEPS}")
         m, s = (int(degrees[best]), int(substeps[best])) if substeps[best] else (0, 1)
-        h = span / s
-        r = 1 - (span - offsets) / h if h else np.ones(offsets.size)
         applications = 0
-        for substep in range(s):
-            weights = r if substep == s - 1 else np.ones(1)
-            sums = np.repeat(v[None], weights.size, axis=0)
-            parts = sums.view(float)  # real weights scale real and imaginary parts alike
-            term = v
-            c1 = np.max(np.abs(term))
+        for _ in range(s):
+            term, total, used = v, v.copy(), 1
+            terms[0] = v
+            c1 = bound = np.max(np.abs(v))
             for j in range(m):
-                term = (span / (s * (j + 1))) * apply(term)
+                term = np.multiply(span / (s * (j + 1)), apply(term), out=terms[j + 1])
                 applications += 1
+                used = j + 2
                 c2 = np.max(np.abs(term))
-                parts += (weights ** (j + 1))[:, None] * term.view(float)
-                if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(sums[-1])):  # two terms below tolerance
+                total += term
+                bound += c2
+                # two terms below tolerance; ||total||_inf <= bound up to rounding
+                if (c1 + c2 <= _TAYLOR_TOL * (bound * _BOUND_SLACK)
+                        and c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(total))):
                     break
                 c1 = c2
-            sums *= np.exp(weights * span * mu / s)[:, None]
-            v = sums[-1]
+            v = total
+            v *= np.exp(span * mu / s)
+        h = span / s
+        r = 1 - (span - offsets) / h if h else np.ones(offsets.size)
+        # Real weights scale real and imaginary parts alike.  The product forms
+        # the r = 1 row too, so that a chunk of two is still a matrix-matrix
+        # product, which sums each row in term order (a vector-matrix one
+        # groups the terms and moves the rows by more rounding).
+        rows = (r[:, None] ** np.arange(used) @ terms[:used].view(float)).view(complex)
+        rows *= np.exp(r * span * mu / s)[:, None]
+        rows[-1] = v
         if stats is not None:
             stats["generator_applications"] = stats.get("generator_applications", 0) + applications
-        return sums
+            stats["taylor_substeps"] = stats.get("taylor_substeps", 0) + s
+        return rows
 
     return advance, norm
 
@@ -234,14 +259,16 @@ def _finalize(rho, stats):
 
 
 def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None):
-    """Yield the state at each time of ``taus``, one at a time, from ``rho``
-    at 0 under the generator of (k, gamma).
+    """Yield the states at the times of ``taus`` chunk by chunk, each
+    chunk a fresh (rows, 2N, 2N) stack, from ``rho`` at 0 under the
+    generator of (k, gamma).
 
     Consecutive times group into chunks that one Taylor substep serves:
     each chunk runs from the last finalized snapshot at c and takes every
     following time t with (t - c) ||L||_1 <= theta_55 (at least one), so a
     longer gap is a chunk of its own.  :func:`_taylor` carries the
-    ``ravel()`` of the snapshot at c to every time of the chunk at once.
+    ``ravel()`` of the snapshot at c to every time of the chunk at once,
+    and each snapshot passes :func:`_finalize` in place.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
@@ -254,10 +281,11 @@ def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None
         offsets = taus[start:] - current
         with np.errstate(over="ignore"):  # a span past the float range is inf, beyond reach
             stop = start + max(1, int(np.searchsorted(offsets * norm, _THETA[55], side="right")))
-        for state in advance(rho.ravel(), offsets[:stop - start]):
-            rho = _finalize(state.reshape(rho.shape), stats)
-            yield rho
-        current, start = taus[stop - 1], stop
+        chunk = advance(rho.ravel(), offsets[:stop - start]).reshape(-1, *rho.shape)
+        for i, state in enumerate(chunk):
+            chunk[i] = _finalize(state, stats)
+        yield chunk
+        rho, current, start = chunk[-1], taus[stop - 1], stop
 
 
 def integrate(
@@ -286,11 +314,12 @@ def integrate_snapshots(
     the source) and the mirror in vacuum.  Each snapshot is symmetrized
     after its Hermiticity drift is asserted below 1e-9.  Pass a dict as
     ``stats`` to collect the worst trace drift, Hermiticity deviation and
-    minimum eigenvalue seen, and the number of generator applications.
+    minimum eigenvalue seen, and the numbers of generator applications
+    (``generator_applications``) and Taylor substeps (``taylor_substeps``).
     """
     config = config or IntegratorConfig()
     rho = initial_joint_density(config.fock_dim, params.theta) if initial is None else np.asarray(initial, dtype=complex)
-    return list(_snapshots(params.k, params.gamma, taus, rho, stats))
+    return [state for chunk in _snapshots(params.k, params.gamma, taus, rho, stats) for state in chunk]
 
 
 def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0.0):
@@ -308,10 +337,11 @@ def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0
     return mirror, np.trace(mirror).real
 
 
-def _dark_port_traces(rho: np.ndarray, shifts: np.ndarray, transposed: np.ndarray) -> np.ndarray:
-    """tr(M_theta O) for every e^{i theta} - 1 of ``shifts`` (rows) and every
-    Hermitian O (columns, given as the stack of O^T), M_theta being the
-    unnormalized dark-port mirror state of :func:`postselect_density`.
+def _dark_port_traces(rhos: np.ndarray, shifts: np.ndarray, transposed: np.ndarray) -> np.ndarray:
+    """tr(M_theta O) for every e^{i theta} - 1 of ``shifts`` (axis 0), every
+    Hermitian O (axis 1, given as the stack of O^T) and every state of the
+    stack ``rhos`` (axis 2), M_theta being the unnormalized dark-port
+    mirror state of :func:`postselect_density`.
 
     With AB and BA = AB^dag the cross blocks of rho (``_finalize`` makes
     rho exactly Hermitian), tr(M_theta O) = tr(M_0 O) - Re((e^{i theta} - 1)
@@ -319,11 +349,12 @@ def _dark_port_traces(rho: np.ndarray, shifts: np.ndarray, transposed: np.ndarra
     cancellation of the dark port stays entry by entry in M_0 = (AA - AB
     - BA + BB) / 2; only the small theta correction is taken after the sum.
     """
-    dim = rho.shape[0] // 2
-    (aa, ab), (ba, bb) = rho.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3)
-    unshifted = (transposed * ((aa - ab - ba + bb) / 2)).sum(axis=(1, 2)).real
-    cross = (transposed * ab).sum(axis=(1, 2))
-    return unshifted - (shifts[:, None] * cross).real
+    dim = rhos.shape[-1] // 2
+    (aa, ab), (ba, bb) = rhos.reshape(-1, 2, dim, 2, dim).transpose(1, 3, 0, 2, 4)
+    operators = transposed[:, None]
+    unshifted = (operators * ((aa - ab - ba + bb) / 2)).sum(axis=(2, 3)).real
+    cross = (operators * ab).sum(axis=(2, 3))
+    return unshifted - (shifts[:, None, None] * cross).real
 
 
 def _oracle_point(params: ModelParams, tau: float, config: IntegratorConfig | None):
@@ -356,9 +387,10 @@ def oracle_sweeps(
 
     theta enters only at postselection, so the group evolves once from the
     unshifted source: the truncated-Taylor propagator of :func:`_taylor`
-    carries vec(rho) through the snapshot times, and every member takes its
-    unnormalized probability and moments from the same two traces per
-    operator of each snapshot (:func:`_dark_port_traces`).  Returns one
+    carries vec(rho) through the snapshot times chunk by chunk, and every
+    member takes its unnormalized probability and moments from the same
+    two traces per operator of each snapshot, one :func:`_dark_port_traces`
+    call per chunk.  Returns one
     (q, p, prob) triple of arrays per member; times where the dark-port
     probability is at the floor give NaN observables instead of raising.
     """
@@ -372,9 +404,10 @@ def oracle_sweeps(
     transposed = np.stack([np.eye(dim), position_quadrature(dim).T, momentum_quadrature(dim).T])
     shifts = np.expm1(1j * np.array([params.theta for params in group]))
     traces = np.empty((len(group), 3, taus.size))
-    snapshots = _snapshots(group[0].k, group[0].gamma, taus, initial_joint_density(dim), stats)
-    for i, rho in enumerate(snapshots):
-        traces[..., i] = _dark_port_traces(rho, shifts, transposed)
+    start = 0
+    for chunk in _snapshots(group[0].k, group[0].gamma, taus, initial_joint_density(dim), stats):
+        traces[..., start:start + len(chunk)] = _dark_port_traces(chunk, shifts, transposed)
+        start += len(chunk)
     prob = traces[:, :1]
     moments = np.full_like(traces[:, 1:], np.nan)
     np.divide(traces[:, 1:], prob, out=moments, where=prob >= TRACE_FLOOR)

@@ -19,6 +19,7 @@ from optoweak.lindblad import (
     oracle_sweep,
     oracle_sweeps,
     postselect_density,
+    _TAYLOR_TOL,
     _THETA,
     _block_generator,
     _dark_port_traces,
@@ -65,6 +66,34 @@ def expm_multiply_reference(generator):
     matrix = sparse.diags([c[max(0, -d):n - max(0, d)] for d, c in generator.items()],
                           list(generator), format="csr")
     return lambda t, v: expm_multiply(t * matrix, v)
+
+
+def in_loop_advance(generator, v, offsets):
+    """exp(t L) v for every t of ``offsets`` within one substep's reach by
+    per-term accumulation, the reference for the stored-term product of
+    ``_taylor``: each term enters every offset's partial sum, weighted by
+    r^j, right after its product, and the stopping test takes ||sum||_inf
+    after every product."""
+    mu, shifted, norm = _shift(generator)
+    apply = _product(shifted)
+    span = offsets[-1]
+    assert span * norm <= _THETA[55]
+    substeps = {m: np.ceil(span * norm / theta) for m, theta in _THETA.items()}
+    m = min(substeps, key=lambda m: (m * substeps[m], m))
+    assert substeps[m] <= 1
+    r = 1 - (span - offsets) / span if span else np.ones(offsets.size)
+    sums = np.repeat(v[None], r.size, axis=0)
+    parts = sums.view(float)
+    term = v
+    c1 = np.max(np.abs(term))
+    for j in range(m if span else 0):
+        term = (span / (j + 1)) * apply(term)
+        c2 = np.max(np.abs(term))
+        parts += (r ** (j + 1))[:, None] * term.view(float)
+        if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(sums[-1])):
+            break
+        c1 = c2
+    return sums * np.exp(r * span * mu)[:, None]
 
 
 def analytic_joint_density(params, tau, dim):
@@ -276,9 +305,14 @@ class TestPostselectDensity:
         operators = [np.eye(16), position_quadrature(16), momentum_quadrature(16)]
         transposed = np.stack([o.T for o in operators])
         thetas = [0.0, 0.001, -0.001, 0.3]
+        shifts = np.expm1(1j * np.array(thetas))
         for gamma in (0.0, 0.005):
-            for rho in integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS):
-                traces = _dark_port_traces(rho, np.expm1(1j * np.array(thetas)), transposed)
+            snapshots = np.stack(integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS))
+            stacked = _dark_port_traces(snapshots, shifts, transposed)
+            assert stacked.shape == (len(thetas), len(operators), len(snapshots))
+            for rho, traces in zip(snapshots, np.moveaxis(stacked, -1, 0)):
+                one = _dark_port_traces(rho[None], shifts, transposed)[..., 0]
+                assert np.max(np.abs(traces - one)) <= 1e-15
                 for theta, row in zip(thetas, traces):
                     mirror, _ = postselect_density(rho, theta=theta)
                     reference = [np.trace(mirror @ o).real for o in operators]
@@ -386,13 +420,28 @@ class TestTaylorPropagator:
             assert np.max(np.abs(state - advance(v, np.array([t]))[0])) <= 1e-15, t
             assert np.max(np.abs(state - reference(t, v))) <= 1e-13, t
 
+    @pytest.mark.parametrize("dim", [16, 32])
+    @pytest.mark.parametrize("k, gamma", [(0.005, 0.005), (0.25, 0.05)])
+    def test_dense_rows_match_in_loop_accumulation(self, dim, k, gamma):
+        generator = _block_generator(k, gamma, dim)
+        v = initial_joint_density(dim, theta=0.3).ravel()
+        advance, norm = _taylor(generator, None)
+        reach = _THETA[55] / norm
+        while reach * norm > _THETA[55]:
+            reach = np.nextafter(reach, 0)
+        offsets = np.linspace(0, reach, 21)
+        rows, reference = advance(v, offsets), in_loop_advance(generator, v, offsets)
+        assert np.array_equal(rows[-1], reference[-1])   # the running sum seeds the next chunk
+        assert np.max(np.abs(rows - reference)) <= 1e-15
+
     def test_generator_applications_on_the_verify_grid(self):
-        # 397 products for the 50 snapshots; 637 with one Taylor expansion
-        # per gap, and expm_multiply made 637 too
+        # 397 products in 25 substeps for the 50 snapshots; 637 with one
+        # Taylor expansion per gap, and expm_multiply made 637 too
         for evolve in (oracle_sweep, integrate_snapshots):
             stats = {}
             evolve(ModelParams(k=K, gamma=0.005), VERIFY_TAUS, stats=stats)
             assert stats["generator_applications"] == 397, evolve.__name__
+            assert stats["taylor_substeps"] == 25, evolve.__name__
 
     def test_generator_applications_on_the_fock32_grid(self):
         # the benchmark's oracle-fock32 sweep: 200 snapshots over 4 pi at
@@ -401,6 +450,25 @@ class TestTaylorPropagator:
         oracle_sweep(ModelParams(k=K, gamma=0.005, theta=0.001), np.linspace(0, 4 * np.pi, 200),
                      IntegratorConfig(fock_dim=32), stats)
         assert stats["generator_applications"] == 687
+        assert stats["taylor_substeps"] == 40
+
+    def test_generator_applications_on_a_large_kerr_phase(self):
+        # sweep-kerr's parameters, where the terms are large: the stopping
+        # test made 1675 products there when it took ||sum||_inf after each
+        stats = {}
+        oracle_sweep(ModelParams(k=0.25, gamma=0.05, theta=0.3), np.linspace(0, 40, 400),
+                     IntegratorConfig(fock_dim=16), stats)
+        assert stats["generator_applications"] == 1675
+
+    def test_returned_snapshots_do_not_alias(self):
+        p = ModelParams(k=K, gamma=0.005)
+        snapshots, fresh = (integrate_snapshots(p, VERIFY_TAUS) for _ in range(2))
+        mutated = []
+        for i in (0, 1, 2, 25, 49):   # chunk ends and interiors
+            snapshots[i][...] = np.nan
+            mutated.append(i)
+            for j, (state, reference) in enumerate(zip(snapshots, fresh)):
+                assert j in mutated or np.array_equal(state, reference), (i, j)
 
     def test_repeated_sweeps_are_bit_equal(self):
         p = ModelParams(k=K, gamma=0.005, theta=0.001)
