@@ -31,6 +31,7 @@ SWEEP_BOTH = ["sweep", "--engine", "both", "--observable", "both", "--gamma", "0
 COMMANDS = {
     **{f"figure-{name}": ["figure", name] for name in FIGURE_NAMES},
     "verify": ["verify"],
+    "verify-fock32": ["verify", "--fock-dim", "32"],
     # the benchmark's oracle-fock32 command line at seed 0
     "oracle-fock32": ["sweep", "--k=0.005", "--gamma=0.005", "--theta=0.001", "--tau-start=0",
                       "--tau-end=12.566370614359172", "--steps=200", "--engine=both",

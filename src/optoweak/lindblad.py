@@ -5,20 +5,19 @@ Evolves
     d rho / d tau = -i [H, rho] + (gamma/2)(2 C rho C^dag - C^dag C rho - rho C^dag C)
 
 with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c.
-The oracle evolves vec(rho), the row-major ``ravel()`` of the 2N x 2N
-joint rho, under one time-independent generator.  H and C commute with
-|A><A|, so it has six non-zero diagonals (offsets 0, -+1, -+2N and
-2N + 1), held in numpy arrays, and one propagator applies its exact
-exponential to vec(rho) by truncated Taylor series (Al-Mohy & Higham
-2011), with dense output: the snapshot times within one substep's reach
-form a chunk, whose states one product forms from that substep's stored
-series terms, each time with its own weights.  :func:`oracle_sweep`
-postselects each chunk in one call, every phase-shifter theta from the
-same two traces per observable; :func:`integrate` and
-:func:`integrate_snapshots` return the states.  Every
-analytic formula in :mod:`optoweak.model` is validated
-against this oracle; nothing here shares code with the closed forms:
-from :mod:`optoweak.model` it takes only ``ModelParams``,
+H and C commute with |A><A|, so the oracle evolves the ``ravel()`` of
+the (3, N, N) stack of the path blocks AA, AB and BB (BA = AB^dag) under
+one generator with six non-zero diagonals (offsets 0, -+1, -+N and
+N + 1), held in numpy arrays, and one propagator applies its exact
+exponential by truncated Taylor series (Al-Mohy & Higham 2011), with
+dense output: the snapshot times within one substep's reach form a
+chunk, whose states one product forms from that substep's stored series
+terms, each time with its own weights.  :func:`oracle_sweep` postselects
+each chunk in one call, every phase-shifter theta from the same two
+traces per observable; :func:`integrate` and :func:`integrate_snapshots`
+return the joint states.  Every analytic formula in :mod:`optoweak.model`
+is validated against this oracle; nothing here shares code with the
+closed forms: from :mod:`optoweak.model` it takes only ``ModelParams``,
 ``DegeneratePostselection`` and ``TRACE_FLOOR``, and from
 :mod:`optoweak.fockspace`, which imports nothing from ``model``, only the
 two quadratures (``tests/test_imports.py::test_oracle_reaches_no_closed_form``).
@@ -42,10 +41,10 @@ _HERMITICITY_LIMIT = 1e-9
 # t ||A||_1 <= s theta_m.
 _TAYLOR_TOL = 2.0 ** -53
 # The stopping test needs ||sum||_inf only where the two last terms are below
-# tolerance against B = ||v||_inf + sum_j ||term_j||_inf.  Rounding in the at
-# most 56 summands of the sum and of B, and in their magnitudes, moves
-# ||sum||_inf / B by at most about (2 * 55 + 4) 2^-53 = 1.3e-14 above 1, so
-# B (1 + 2^-44) is a floating-point upper bound of ||sum||_inf.
+# tolerance against B = ||v||_inf + sum_j ||term_j||_inf, restarted from each
+# ||sum||_inf taken.  Rounding in the at most 56 summands of the sum and of
+# B, and in their magnitudes, moves ||sum||_inf / B by at most about
+# (2 * 55 + 4) 2^-53 = 1.3e-14 above 1, so B (1 + 2^-44) bounds ||sum||_inf.
 _BOUND_SLACK = 1 + 2.0 ** -44
 _THETA = {
     1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
@@ -83,36 +82,36 @@ class IntegratorConfig:
 
 
 def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
-    """Generator of the row-major ``ravel()`` of the 2N x 2N joint rho, as
-    its six non-zero diagonals.
+    """Generator of the ``ravel()`` of the (3, N, N) stack of the path
+    blocks AA, AB and BB of the joint rho, as its six non-zero diagonals.
 
     H and C commute with |A><A|, so no term moves weight between path
     blocks: each N x N block rho_ij evolves on its own under -i (H_i rho_ij
     - rho_ij H_j) + gamma (c rho_ij c^dag - (n rho_ij + rho_ij n)/2), with
-    H_A = n - k x and H_B = n.  Entry (l, r) of a block meets only itself
-    (offset 0), (l -+ 1, r) through x on the left of an arm-A row (offsets
-    -+2N), (l, r -+ 1) through x on the right of an arm-A column (offsets
-    -+1), and (l + 1, r + 1) through the jump c rho c^dag (offset 2N + 1).
-    x's sub- and superdiagonal are padded with a zero at the Fock cutoff,
-    which stops every term at a block edge: each c_d is zero wherever
-    p + d leaves the block of p.  Returns {d: c_d} with
-    (L v)[p] = sum_d c_d[p] v[p + d].
+    H_A = n - k x and H_B = n, and BA = AB^dag needs no evolution of its
+    own.  Entry (l, r) of a block meets only itself (offset 0), (l -+ 1, r)
+    through x on the left of AA and AB (offsets -+N), (l, r -+ 1) through x
+    on the right of AA (offsets -+1), and (l + 1, r + 1) through the jump
+    c rho c^dag on every block (offset N + 1).  x's sub- and superdiagonal
+    are padded with a zero at the Fock cutoff, which stops every term at a
+    block edge: each c_d is zero wherever p + d leaves the block of p.
+    Returns {d: c_d} with (L v)[p] = sum_d c_d[p] v[p + d].
     """
     x = position_quadrature(dim)                                  # real symmetric
     up = np.append(np.diagonal(x, 1), 0)                          # x[l, l + 1] = c[l, l + 1]
     down = np.insert(np.diagonal(x, -1), 0, 0)                    # x[l, l - 1]
     n = np.arange(dim)
-    row = n[:, None, None]                                        # l, broadcast against r
-    arm_a = np.array([1, 0])[:, None]                             # rows/columns of arm A
+    left = np.array([1, 1, 0])[:, None, None]                     # AA, AB: arm-A rows
+    right = np.array([1, 0, 0])[:, None, None]                    # AA: arm-A columns
     diagonals = {
-        -2 * dim: (arm_a * (1j * k * down))[..., None, None],
-        -1: arm_a * (-1j * k * down),
-        0: -1j * (row - n) - gamma * (row + n) / 2,
-        1: arm_a * (-1j * k * up),
-        2 * dim: (arm_a * (1j * k * up))[..., None, None],
-        2 * dim + 1: gamma * (up[:, None, None] * up),              # c[l, l+1] c[r, r+1]
+        -dim: left * (1j * k * down)[:, None],
+        -1: right * (-1j * k * down),
+        0: -1j * (n[:, None] - n) - gamma * (n[:, None] + n) / 2,
+        1: right * (-1j * k * up),
+        dim: left * (1j * k * up)[:, None],
+        dim + 1: gamma * (up[:, None] * up),                      # c[l, l+1] c[r, r+1]
     }
-    return {d: np.broadcast_to(a, (2, dim, 2, dim)).astype(complex).ravel()
+    return {d: np.broadcast_to(a, (3, dim, dim)).astype(complex).ravel()
             for d, a in diagonals.items()}
 
 
@@ -186,8 +185,8 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
     when offsets[-1] norm <= theta_55 (then s = 1).  As r^j <= 1, the
     stopping test on the running sum bounds every other row too.  It takes
     ||sum||_inf only once the two last terms are below tolerance against
-    the triangle bound of the sum (``_BOUND_SLACK``), so every decision,
-    and every product count, is that of the test on ||sum||_inf alone.
+    the triangle bound of the sum (``_BOUND_SLACK``), restarted from each
+    ||sum||_inf taken, so every decision is that of ||sum||_inf alone.
     """
     mu, shifted, norm = _shift(generator)
     apply = _product(shifted)
@@ -216,9 +215,9 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
                 c2 = np.max(np.abs(term))
                 total += term
                 bound += c2
-                # two terms below tolerance; ||total||_inf <= bound up to rounding
+                # two terms below tolerance against B >= ||total||_inf, then against ||total||_inf
                 if (c1 + c2 <= _TAYLOR_TOL * (bound * _BOUND_SLACK)
-                        and c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(total))):
+                        and c1 + c2 <= _TAYLOR_TOL * (bound := np.max(np.abs(total)))):
                     break
                 c1 = c2
             v = total
@@ -240,52 +239,64 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
     return advance, norm
 
 
-def _finalize(rho, stats):
-    """Check Hermiticity and trace, symmetrize, then record the extremes in
-    ``stats`` (the deviations are those seen before symmetrizing)."""
-    deviation = np.max(np.abs(rho - rho.conj().T))
-    if deviation > _HERMITICITY_LIMIT:
-        raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
-    trace_drift = abs(np.trace(rho).real - 1.0)
-    if trace_drift > _TRACE_DRIFT_LIMIT:
-        raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
-    rho = (rho + rho.conj().T) / 2
+def _joint(blocks: np.ndarray) -> np.ndarray:
+    """The joint rho of each (3, N, N) stack of AA, AB and BB, BA = AB^dag."""
+    aa, ab, bb = np.moveaxis(blocks, -3, 0)
+    return np.block([[aa, ab], [ab.conj().swapaxes(-1, -2), bb]])
+
+
+def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
+    """Check Hermiticity and trace of each snapshot of ``chunk`` (rows, 3, N,
+    N) in turn from AA and BB (or of a joint rho as (1, 1, 2N, 2N)), then
+    symmetrize them in place and record the extremes in ``stats`` (the
+    deviations seen before symmetrizing, the joint rho's eigenvalues)."""
+    pair = chunk[:, ::2]
+    adjoint = pair.conj().swapaxes(-1, -2)
+    deviations = np.abs(pair - adjoint).max(axis=(1, 2, 3))
+    drifts = np.abs(np.trace(pair, axis1=2, axis2=3).sum(axis=1).real - 1.0)
+    for deviation, trace_drift in zip(deviations, drifts):
+        if deviation > _HERMITICITY_LIMIT:
+            raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
+        if trace_drift > _TRACE_DRIFT_LIMIT:
+            raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
+    np.multiply(pair + adjoint, 0.5, out=pair)
     if stats is not None:
-        stats["trace_drift"] = max(stats.get("trace_drift", 0.0), trace_drift)
-        stats["hermiticity_dev"] = max(stats.get("hermiticity_dev", 0.0), deviation)
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
+        stats["trace_drift"] = max(stats.get("trace_drift", 0.0), drifts.max())
+        stats["hermiticity_dev"] = max(stats.get("hermiticity_dev", 0.0), deviations.max())
+        min_eig = float(np.linalg.eigvalsh(_joint(chunk))[:, 0].min())
         stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
-    return rho
 
 
 def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None):
     """Yield the states at the times of ``taus`` chunk by chunk, each
-    chunk a fresh (rows, 2N, 2N) stack, from ``rho`` at 0 under the
-    generator of (k, gamma).
+    chunk a fresh (rows, 3, N, N) stack of the blocks AA, AB and BB, from
+    the joint 2N x 2N ``rho`` at 0 under the generator of (k, gamma).
 
-    Consecutive times group into chunks that one Taylor substep serves:
-    each chunk runs from the last finalized snapshot at c and takes every
-    following time t with (t - c) ||L||_1 <= theta_55 (at least one), so a
-    longer gap is a chunk of its own.  :func:`_taylor` carries the
-    ``ravel()`` of the snapshot at c to every time of the chunk at once,
-    and each snapshot passes :func:`_finalize` in place.
+    ``rho`` passes :func:`_finalize` in place before any product and is
+    split into blocks once.  Each chunk holds the times that one Taylor
+    substep serves from the last snapshot, at c: every following t with
+    (t - c) ||L||_1 <= theta_55 (at least one, so a longer gap is a chunk of
+    its own).  :func:`_taylor` carries the blocks at c to all of them at
+    once, and the chunk passes :func:`_finalize` in place.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("snapshot times must be finite")
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
-    advance, norm = _taylor(_block_generator(k, gamma, rho.shape[0] // 2), stats)
+    dim = rho.shape[0] // 2
+    _finalize(rho[None, None], None)
+    blocks = rho.reshape(2, dim, 2, dim).swapaxes(1, 2).reshape(4, dim, dim)[[0, 1, 3]]
+    advance, norm = _taylor(_block_generator(k, gamma, dim), stats)
     current, start = 0.0, 0
     while start < taus.size:
         offsets = taus[start:] - current
         with np.errstate(over="ignore"):  # a span past the float range is inf, beyond reach
             stop = start + max(1, int(np.searchsorted(offsets * norm, _THETA[55], side="right")))
-        chunk = advance(rho.ravel(), offsets[:stop - start]).reshape(-1, *rho.shape)
-        for i, state in enumerate(chunk):
-            chunk[i] = _finalize(state, stats)
+        chunk = advance(blocks.ravel(), offsets[:stop - start]).reshape(-1, 3, dim, dim)
+        _finalize(chunk, stats)
         yield chunk
-        rho, current, start = chunk[-1], taus[stop - 1], stop
+        blocks, current, start = chunk[-1], taus[stop - 1], stop
 
 
 def integrate(
@@ -311,15 +322,15 @@ def integrate_snapshots(
     snapshots :func:`oracle_sweep` postselects.
 
     ``initial`` defaults to the split photon (with the configured theta at
-    the source) and the mirror in vacuum.  Each snapshot is symmetrized
-    after its Hermiticity drift is asserted below 1e-9.  Pass a dict as
-    ``stats`` to collect the worst trace drift, Hermiticity deviation and
-    minimum eigenvalue seen, and the numbers of generator applications
+    the source) and the mirror in vacuum; it and every snapshot are
+    symmetrized once their Hermiticity drift is asserted below 1e-9.  A
+    ``stats`` dict collects the worst trace drift, Hermiticity deviation
+    and minimum eigenvalue seen, and the numbers of generator applications
     (``generator_applications``) and Taylor substeps (``taylor_substeps``).
     """
     config = config or IntegratorConfig()
-    rho = initial_joint_density(config.fock_dim, params.theta) if initial is None else np.asarray(initial, dtype=complex)
-    return [state for chunk in _snapshots(params.k, params.gamma, taus, rho, stats) for state in chunk]
+    rho = initial_joint_density(config.fock_dim, params.theta) if initial is None else np.array(initial, dtype=complex)
+    return [state for chunk in _snapshots(params.k, params.gamma, taus, rho, stats) for state in _joint(chunk)]
 
 
 def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0.0):
@@ -337,22 +348,21 @@ def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0
     return mirror, np.trace(mirror).real
 
 
-def _dark_port_traces(rhos: np.ndarray, shifts: np.ndarray, transposed: np.ndarray) -> np.ndarray:
+def _dark_port_traces(blocks: np.ndarray, shifts: np.ndarray, transposed: np.ndarray) -> np.ndarray:
     """tr(M_theta O) for every e^{i theta} - 1 of ``shifts`` (axis 0), every
-    Hermitian O (axis 1, given as the stack of O^T) and every state of the
-    stack ``rhos`` (axis 2), M_theta being the unnormalized dark-port
-    mirror state of :func:`postselect_density`.
+    Hermitian O (axis 1, given as the stack of O^T) and every (3, N, N)
+    stack of AA, AB and BB in ``blocks`` (axis 2), M_theta being the
+    unnormalized dark-port mirror state of :func:`postselect_density`.
 
-    With AB and BA = AB^dag the cross blocks of rho (``_finalize`` makes
-    rho exactly Hermitian), tr(M_theta O) = tr(M_0 O) - Re((e^{i theta} - 1)
+    With BA = AB^dag, tr(M_theta O) = tr(M_0 O) - Re((e^{i theta} - 1)
     tr(AB O)), so two traces per operator serve every theta.  The near
     cancellation of the dark port stays entry by entry in M_0 = (AA - AB
-    - BA + BB) / 2; only the small theta correction is taken after the sum.
+    - AB^dag + BB) / 2; only the small theta correction is taken after the
+    sum.
     """
-    dim = rhos.shape[-1] // 2
-    (aa, ab), (ba, bb) = rhos.reshape(-1, 2, dim, 2, dim).transpose(1, 3, 0, 2, 4)
+    aa, ab, bb = np.moveaxis(blocks, -3, 0)
     operators = transposed[:, None]
-    unshifted = (operators * ((aa - ab - ba + bb) / 2)).sum(axis=(2, 3)).real
+    unshifted = (operators * ((aa - ab - ab.conj().swapaxes(-1, -2) + bb) / 2)).sum(axis=(2, 3)).real
     cross = (operators * ab).sum(axis=(2, 3))
     return unshifted - (shifts[:, None, None] * cross).real
 
@@ -387,7 +397,7 @@ def oracle_sweeps(
 
     theta enters only at postselection, so the group evolves once from the
     unshifted source: the truncated-Taylor propagator of :func:`_taylor`
-    carries vec(rho) through the snapshot times chunk by chunk, and every
+    carries the path blocks through the snapshot times chunk by chunk, and every
     member takes its unnormalized probability and moments from the same
     two traces per operator of each snapshot, one :func:`_dark_port_traces`
     call per chunk.  Returns one

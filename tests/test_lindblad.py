@@ -23,6 +23,8 @@ from optoweak.lindblad import (
     _THETA,
     _block_generator,
     _dark_port_traces,
+    _finalize,
+    _joint,
     _product,
     _shift,
     _taylor,
@@ -52,9 +54,18 @@ def dense_step_propagators():
             for gamma in (0.0, 0.005)}
 
 
+def path_blocks(rho):
+    """The (3, N, N) stack of the path blocks AA, AB and BB of a joint
+    2N x 2N matrix, the oracle's state."""
+    dim = rho.shape[0] // 2
+    return rho.reshape(2, dim, 2, dim).swapaxes(1, 2).reshape(4, dim, dim)[[0, 1, 3]]
+
+
 def block_rhs(k, gamma, rho):
-    """d rho / d tau through the package's block generator."""
-    return _product(_block_generator(k, gamma, rho.shape[0] // 2))(rho.ravel()).reshape(rho.shape)
+    """d rho / d tau of a Hermitian rho through the package's block
+    generator, with BA = AB^dag."""
+    blocks = path_blocks(rho)
+    return _joint(_product(_block_generator(k, gamma, blocks.shape[-1]))(blocks.ravel()).reshape(blocks.shape))
 
 
 def expm_multiply_reference(generator):
@@ -169,9 +180,16 @@ class TestGenerator:
     def test_trace_shift_and_norm_match_the_dense_liouvillian(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
         mu, _, norm = _shift(generator)
-        dense = dr.liouvillian(k, gamma, dim)
+        liouvillian = dr.liouvillian(k, gamma, dim)
+        # positions in the joint rho's row-major vec of the stack's ravel() and of BA
+        vec_index = np.arange(4 * dim * dim).reshape(2 * dim, 2 * dim)
+        kept, ba = path_blocks(vec_index).ravel(), vec_index[dim:, :dim].ravel()
+        # BA neither feeds nor is fed by AA, AB or BB
+        assert not liouvillian[np.ix_(kept, ba)].any() and not liouvillian[np.ix_(ba, kept)].any()
+        dense = liouvillian[np.ix_(kept, kept)]
         n = dense.shape[0]
-        dense_mu = np.trace(dense) / n
+        # BA's diagonal is the conjugate of AB's, so dropping it keeps tr L / n
+        dense_mu = np.trace(liouvillian) / liouvillian.shape[0]
         dense_norm = np.abs(dense - dense_mu * np.eye(n)).sum(axis=0).max()
         assert abs(mu - dense_mu) <= 1e-15 * abs(dense_mu)
         assert abs(norm - dense_norm) <= 1e-15 * dense_norm
@@ -238,6 +256,51 @@ class TestIntegrate:
         with pytest.raises(StepUnstable):
             integrate(p, 0.3, IntegratorConfig(dt=1e-3, fock_dim=8),
                       initial=0.9 * initial_joint_density(8))
+
+    def test_non_hermitian_initial_state_trips_the_guard_before_any_product(self):
+        initial = initial_joint_density(8)
+        initial[8, 0] += 1e-6   # BA, which the oracle does not evolve
+        stats = {}
+        with pytest.raises(StepUnstable, match="Hermiticity deviation 1.000e-06 before symmetrization"):
+            integrate(ModelParams(k=K), 0.3, IntegratorConfig(fock_dim=8), initial=initial, stats=stats)
+        assert stats.get("generator_applications", 0) == 0
+
+    @pytest.mark.parametrize("entry, message", [
+        ((2, 0, 0, 1), "Hermiticity deviation 2.000e-06"),   # AA[0, 1] of the third snapshot
+        ((2, 2, 0, 0), "trace drifted by 2.000e-06"),        # BB[0, 0] of the third snapshot
+    ], ids=["non-hermitian-aa", "trace-drift"])
+    def test_chunk_check_raises_the_first_failing_snapshot(self, entry, message):
+        chunk = np.stack([path_blocks(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
+        chunk[3, 0, 1, 0] += 1e-3           # worse, in both checks, but later
+        chunk[3, 2, 1, 1] += 1e-3
+        chunk[4, 1] += 1.0                  # AB is neither checked nor changed
+        chunk[entry] += 2e-6
+        with pytest.raises(StepUnstable, match=message):
+            _finalize(chunk, {})
+
+    def test_chunk_check_symmetrizes_only_aa_and_bb(self):
+        chunk = np.stack([path_blocks(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
+        chunk[:, :, 0, 1] += 1e-12
+        before = chunk.copy()
+        _finalize(chunk, None)
+        assert np.array_equal(chunk[:, 1], before[:, 1])
+        for block in (0, 2):
+            assert np.array_equal(chunk[:, block], (before[:, block] + before[:, block].conj().swapaxes(-1, -2)) / 2)
+
+    def test_stats_eigenvalue_is_that_of_the_joint_state(self):
+        stats = {}
+        p = ModelParams(k=0.25, gamma=0.05, theta=0.3)
+        snapshots = integrate_snapshots(p, np.linspace(0, 4 * np.pi, 50), stats=stats)
+        least = min(np.linalg.eigvalsh(rho)[0] for rho in snapshots)
+        assert abs(stats["min_eigenvalue"] - least) <= 1e-15
+        # tripled coherences leave AA and BB positive but not the joint state
+        widened = np.stack(snapshots[:6])
+        widened[:, :16, 16:] *= 3
+        widened[:, 16:, :16] *= 3
+        stats = {}
+        _finalize(np.stack([path_blocks(rho) for rho in widened]), stats)
+        least = np.linalg.eigvalsh(widened)[:, 0].min()
+        assert least < -0.1 and abs(stats["min_eigenvalue"] - least) <= 1e-15
 
     def test_stats_collection(self):
         stats = {}
@@ -307,11 +370,11 @@ class TestPostselectDensity:
         thetas = [0.0, 0.001, -0.001, 0.3]
         shifts = np.expm1(1j * np.array(thetas))
         for gamma in (0.0, 0.005):
-            snapshots = np.stack(integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS))
-            stacked = _dark_port_traces(snapshots, shifts, transposed)
+            snapshots = integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS)
+            stacked = _dark_port_traces(np.stack([path_blocks(rho) for rho in snapshots]), shifts, transposed)
             assert stacked.shape == (len(thetas), len(operators), len(snapshots))
             for rho, traces in zip(snapshots, np.moveaxis(stacked, -1, 0)):
-                one = _dark_port_traces(rho[None], shifts, transposed)[..., 0]
+                one = _dark_port_traces(path_blocks(rho)[None], shifts, transposed)[..., 0]
                 assert np.max(np.abs(traces - one)) <= 1e-15
                 for theta, row in zip(thetas, traces):
                     mirror, _ = postselect_density(rho, theta=theta)
@@ -396,7 +459,7 @@ class TestTaylorPropagator:
     def test_matches_expm_multiply(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
         reference = expm_multiply_reference(generator)
-        v = initial_joint_density(dim, theta=0.3).ravel()
+        v = path_blocks(initial_joint_density(dim, theta=0.3)).ravel()
         advance, _ = _taylor(generator, None)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
@@ -407,7 +470,7 @@ class TestTaylorPropagator:
     def test_dense_output_matches_one_offset_calls(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
         reference = expm_multiply_reference(generator)
-        v = initial_joint_density(dim, theta=0.3).ravel()
+        v = path_blocks(initial_joint_density(dim, theta=0.3)).ravel()
         advance, norm = _taylor(generator, None)
         reach = _THETA[55] / norm          # the longest span of one degree-55 substep
         while reach * norm > _THETA[55]:
@@ -424,7 +487,7 @@ class TestTaylorPropagator:
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.005), (0.25, 0.05)])
     def test_dense_rows_match_in_loop_accumulation(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
-        v = initial_joint_density(dim, theta=0.3).ravel()
+        v = path_blocks(initial_joint_density(dim, theta=0.3)).ravel()
         advance, norm = _taylor(generator, None)
         reach = _THETA[55] / norm
         while reach * norm > _THETA[55]:
