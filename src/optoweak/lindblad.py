@@ -5,19 +5,23 @@ Evolves
     d rho / d tau = -i [H, rho] + (gamma/2)(2 C rho C^dag - C^dag C rho - rho C^dag C)
 
 with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c.
-H and C commute with |A><A|, so the oracle evolves the ``ravel()`` of
-the (3, N, N) stack of the path blocks AA, AB and BB (BA = AB^dag) under
-one generator with six non-zero diagonals (offsets 0, -+1, -+N and
-N + 1), held in numpy arrays, and one propagator applies its exact
-exponential by truncated Taylor series (Al-Mohy & Higham 2011), with
-dense output: the snapshot times within one substep's reach form a
-chunk, whose states one product forms from that substep's stored series
-terms, each time with its own weights.  :func:`oracle_sweep` postselects
-each chunk in one call, every phase-shifter theta from the same two
-traces per observable; :func:`integrate` and :func:`integrate_snapshots`
-return the joint states.  Every analytic formula in :mod:`optoweak.model`
-is validated against this oracle; nothing here shares code with the
-closed forms: from :mod:`optoweak.model` it takes only ``ModelParams``,
+H and C commute with |A><A|, so each path block evolves on its own, and
+the arm-B mirror starts in vacuum and stays there: the joint rho keeps
+the form [[AA, AB], [BA, BB]] with AB = v <0|, BA = AB^dag and
+BB = b |0><0|, the set of states that vanish outside their first N + 1
+rows and columns.  The oracle evolves the state vector [AA.ravel(), v, b]
+of N^2 + N + 1 entries under one generator with six non-zero diagonals
+(offsets 0, -+1, -+N and N + 1), held in numpy arrays, and one propagator
+applies its exact exponential by truncated Taylor series (Al-Mohy &
+Higham 2011), with dense output: the snapshot times within one substep's
+reach form a chunk, whose states one product forms from that substep's
+stored series terms, each time with its own weights.
+:func:`oracle_sweep` postselects each chunk in one call, every
+phase-shifter theta from the same two traces per observable;
+:func:`integrate` and :func:`integrate_snapshots` return the joint
+states.  Every analytic formula in :mod:`optoweak.model` is validated
+against this oracle; nothing here shares code with the closed forms: from
+:mod:`optoweak.model` it takes only ``ModelParams``,
 ``DegeneratePostselection`` and ``TRACE_FLOOR``, and from
 :mod:`optoweak.fockspace`, which imports nothing from ``model``, only the
 two quadratures (``tests/test_imports.py::test_oracle_reaches_no_closed_form``).
@@ -25,6 +29,7 @@ two quadratures (``tests/test_imports.py::test_oracle_reaches_no_closed_form``).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -82,37 +87,39 @@ class IntegratorConfig:
 
 
 def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
-    """Generator of the ``ravel()`` of the (3, N, N) stack of the path
-    blocks AA, AB and BB of the joint rho, as its six non-zero diagonals.
+    """Generator of the oracle's state vector [AA.ravel(), v, b] (see the
+    module docstring), as its six non-zero diagonals.
 
-    H and C commute with |A><A|, so no term moves weight between path
-    blocks: each N x N block rho_ij evolves on its own under -i (H_i rho_ij
-    - rho_ij H_j) + gamma (c rho_ij c^dag - (n rho_ij + rho_ij n)/2), with
-    H_A = n - k x and H_B = n, and BA = AB^dag needs no evolution of its
-    own.  Entry (l, r) of a block meets only itself (offset 0), (l -+ 1, r)
-    through x on the left of AA and AB (offsets -+N), (l, r -+ 1) through x
-    on the right of AA (offsets -+1), and (l + 1, r + 1) through the jump
-    c rho c^dag on every block (offset N + 1).  x's sub- and superdiagonal
-    are padded with a zero at the Fock cutoff, which stops every term at a
-    block edge: each c_d is zero wherever p + d leaves the block of p.
+    H and C commute with |A><A|, so each N x N path block rho_ij evolves on
+    its own under -i (H_i rho_ij - rho_ij H_j) + gamma (c rho_ij c^dag - (n
+    rho_ij + rho_ij n)/2), with H_A = n - k x and H_B = n.  On AA, entry
+    (l, r) meets only itself (offset 0), (l -+ 1, r) through x on the left
+    (offsets -+N), (l, r -+ 1) through x on the right (offsets -+1) and
+    (l + 1, r + 1) through the jump c rho c^dag (offset N + 1).  On v =
+    AB[:, 0], entry l meets itself and, through x on the left, v[l -+ 1]
+    (offsets -+1); its jump term reads AB[l + 1, 1], which stays 0.  b =
+    BB[0, 0] receives only from BB[1, 1], which stays 0, so its
+    coefficients are all 0.  x's sub- and superdiagonal are padded with a
+    zero at the Fock cutoff, which stops every term at a segment edge: each
+    c_d is zero wherever p + d leaves the segment of p.
     Returns {d: c_d} with (L v)[p] = sum_d c_d[p] v[p + d].
     """
     x = position_quadrature(dim)                                  # real symmetric
     up = np.append(np.diagonal(x, 1), 0)                          # x[l, l + 1] = c[l, l + 1]
     down = np.insert(np.diagonal(x, -1), 0, 0)                    # x[l, l - 1]
     n = np.arange(dim)
-    left = np.array([1, 1, 0])[:, None, None]                     # AA, AB: arm-A rows
-    right = np.array([1, 0, 0])[:, None, None]                    # AA: arm-A columns
-    diagonals = {
-        -dim: left * (1j * k * down)[:, None],
-        -1: right * (-1j * k * down),
-        0: -1j * (n[:, None] - n) - gamma * (n[:, None] + n) / 2,
-        1: right * (-1j * k * up),
-        dim: left * (1j * k * up)[:, None],
-        dim + 1: gamma * (up[:, None] * up),                      # c[l, l+1] c[r, r+1]
+    left_down, left_up = 1j * k * down, 1j * k * up               # x on the left
+    own = -1j * (n[:, None] - n) - gamma * (n[:, None] + n) / 2   # v's is AA's column 0
+    diagonals = {                                                 # d: (on AA, on v)
+        -dim: (left_down[:, None], 0),
+        -1: (-1j * k * down, left_down),
+        0: (own, own[:, 0]),
+        1: (-1j * k * up, left_up),
+        dim: (left_up[:, None], 0),
+        dim + 1: (gamma * (up[:, None] * up), 0),                 # c[l, l+1] c[r, r+1]
     }
-    return {d: np.broadcast_to(a, (3, dim, dim)).astype(complex).ravel()
-            for d, a in diagonals.items()}
+    return {d: np.concatenate([np.broadcast_to(aa, (dim, dim)).ravel(), np.broadcast_to(v, dim), [0]])
+            .astype(complex) for d, (aa, v) in diagonals.items()}
 
 
 def _product(diagonals: dict[int, np.ndarray]):
@@ -151,12 +158,16 @@ def initial_joint_density(dim: int, theta: float = 0.0) -> np.ndarray:
 
 
 def _shift(generator: dict[int, np.ndarray]):
-    """The trace shift mu = tr L / n (the mean of the 0-diagonal), the
-    diagonals of L - mu I, and its exact 1-norm: the largest column sum of
-    the shifted |c_d|, each column summed in row order."""
-    mu = generator[0].mean()
-    shifted = {**generator, 0: generator[0] - mu}
+    """The trace shift mu, the diagonals of L - mu I, and its exact 1-norm:
+    the largest column sum of the shifted |c_d|, each column summed in row
+    order.  mu is the mean of AA's N^2 entries of the 0-diagonal, the real
+    -gamma (N - 1) / 2, summed exactly so that no rounding of the sum
+    moves it; the mean over the whole vector would be complex, as v's
+    entries are -i l - gamma l / 2."""
     n = generator[0].size
+    squares = math.isqrt(n) ** 2                                  # N^2 < n < (N + 1)^2
+    mu = math.fsum(generator[0][:squares].real) / squares
+    shifted = {**generator, 0: generator[0] - mu}
     column_sums = np.zeros(n)
     for d in sorted(shifted, reverse=True):
         a, b = max(0, -d), min(n, n - d)
@@ -239,45 +250,71 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
     return advance, norm
 
 
-def _joint(blocks: np.ndarray) -> np.ndarray:
-    """The joint rho of each (3, N, N) stack of AA, AB and BB, BA = AB^dag."""
-    aa, ab, bb = np.moveaxis(blocks, -3, 0)
-    return np.block([[aa, ab], [ab.conj().swapaxes(-1, -2), bb]])
+def _bordered(states: np.ndarray) -> np.ndarray:
+    """[[AA, v], [v^dag, b]] of each state vector (row) of ``states``: the
+    joint rho on its first N + 1 rows and columns, where it is non-zero."""
+    dim = math.isqrt(states.shape[1])
+    bordered = np.empty((len(states), dim + 1, dim + 1), dtype=complex)
+    bordered[:, :dim, :dim] = states[:, :dim * dim].reshape(-1, dim, dim)
+    bordered[:, :, dim] = states[:, dim * dim:]
+    bordered[:, dim, :dim] = states[:, dim * dim:-1].conj()
+    return bordered
 
 
-def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
-    """Check Hermiticity and trace of each snapshot of ``chunk`` (rows, 3, N,
-    N) in turn from AA and BB (or of a joint rho as (1, 1, 2N, 2N)), then
-    symmetrize them in place and record the extremes in ``stats`` (the
-    deviations seen before symmetrizing, the joint rho's eigenvalues)."""
-    pair = chunk[:, ::2]
-    adjoint = pair.conj().swapaxes(-1, -2)
-    deviations = np.abs(pair - adjoint).max(axis=(1, 2, 3))
-    drifts = np.abs(np.trace(pair, axis1=2, axis2=3).sum(axis=1).real - 1.0)
+def _joint(states: np.ndarray) -> np.ndarray:
+    """The 2N x 2N joint rho of each state vector (row) of ``states``:
+    :func:`_bordered`, padded with zeros."""
+    pad = math.isqrt(states.shape[1]) - 1
+    return np.pad(_bordered(states), ((0, 0), (0, pad), (0, pad)))
+
+
+def _guard(deviations, drifts) -> None:
+    """Raise StepUnstable for the first state whose Hermiticity deviation or
+    trace drift is past its limit (Hermiticity first)."""
     for deviation, trace_drift in zip(deviations, drifts):
         if deviation > _HERMITICITY_LIMIT:
             raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
         if trace_drift > _TRACE_DRIFT_LIMIT:
             raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
-    np.multiply(pair + adjoint, 0.5, out=pair)
+
+
+def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
+    """Check the Hermiticity of AA and the trace tr AA + b of each state
+    vector of ``chunk`` (rows, N^2 + N + 1) in turn, then symmetrize AA in
+    place and record the extremes in ``stats`` (the deviations seen before
+    symmetrizing, the joint rho's least eigenvalue).  v is not checked, and
+    b is real by construction.  The joint rho's spectrum is that of
+    :func:`_bordered` and N - 1 zeros, so the eigenvalues come from the
+    (N + 1)^2 matrices."""
+    dim = math.isqrt(chunk.shape[1])
+    aa = chunk[:, :dim * dim].reshape(-1, dim, dim)               # a view: symmetrized in place
+    adjoint = aa.conj().swapaxes(-1, -2)
+    deviations = np.abs(aa - adjoint).max(axis=(1, 2))
+    drifts = np.abs(np.trace(aa, axis1=1, axis2=2).real + chunk[:, -1].real - 1.0)
+    _guard(deviations, drifts)
+    np.multiply(aa + adjoint, 0.5, out=aa)
     if stats is not None:
         stats["trace_drift"] = max(stats.get("trace_drift", 0.0), drifts.max())
         stats["hermiticity_dev"] = max(stats.get("hermiticity_dev", 0.0), deviations.max())
-        min_eig = float(np.linalg.eigvalsh(_joint(chunk))[:, 0].min())
+        min_eig = min(float(np.linalg.eigvalsh(_bordered(chunk))[:, 0].min()), 0.0)
         stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
 
 
 def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None):
     """Yield the states at the times of ``taus`` chunk by chunk, each
-    chunk a fresh (rows, 3, N, N) stack of the blocks AA, AB and BB, from
-    the joint 2N x 2N ``rho`` at 0 under the generator of (k, gamma).
+    chunk a fresh (rows, N^2 + N + 1) array of state vectors [AA.ravel(),
+    v, b], from the joint 2N x 2N ``rho`` at 0 under the generator of (k,
+    gamma).
 
-    ``rho`` passes :func:`_finalize` in place before any product and is
-    split into blocks once.  Each chunk holds the times that one Taylor
-    substep serves from the last snapshot, at c: every following t with
-    (t - c) ||L||_1 <= theta_55 (at least one, so a longer gap is a chunk of
-    its own).  :func:`_taylor` carries the blocks at c to all of them at
-    once, and the chunk passes :func:`_finalize` in place.
+    Before any product, the whole ``rho`` must pass the Hermiticity and
+    trace checks of :func:`_guard` and vanish outside its first N + 1 rows
+    and columns (else ValueError: such a state is never projected); it is
+    then symmetrized and cut to one state vector.  Each chunk holds the
+    times that one Taylor substep serves from the last snapshot, at c:
+    every following t with (t - c) ||L||_1 <= theta_55 (at least one, so a
+    longer gap is a chunk of its own).  :func:`_taylor` carries the vector
+    at c to all of them at once, and the chunk passes :func:`_finalize` in
+    place.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
@@ -285,18 +322,23 @@ def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
     dim = rho.shape[0] // 2
-    _finalize(rho[None, None], None)
-    blocks = rho.reshape(2, dim, 2, dim).swapaxes(1, 2).reshape(4, dim, dim)[[0, 1, 3]]
+    adjoint = rho.conj().T
+    _guard([np.abs(rho - adjoint).max()], [abs(np.trace(rho).real - 1.0)])
+    if rho[dim + 1:].any() or rho[:, dim + 1:].any():
+        raise ValueError("the initial state must have the arm-B mirror in vacuum: AB[:, 1:] "
+                         "and every entry of BB but BB[0, 0] must be zero")
+    rho = (rho + adjoint) / 2
+    state = np.concatenate([rho[:dim, :dim].ravel(), rho[:dim + 1, dim]])
     advance, norm = _taylor(_block_generator(k, gamma, dim), stats)
     current, start = 0.0, 0
     while start < taus.size:
         offsets = taus[start:] - current
         with np.errstate(over="ignore"):  # a span past the float range is inf, beyond reach
             stop = start + max(1, int(np.searchsorted(offsets * norm, _THETA[55], side="right")))
-        chunk = advance(blocks.ravel(), offsets[:stop - start]).reshape(-1, 3, dim, dim)
+        chunk = advance(state, offsets[:stop - start])
         _finalize(chunk, stats)
         yield chunk
-        blocks, current, start = chunk[-1], taus[stop - 1], stop
+        state, current, start = chunk[-1], taus[stop - 1], stop
 
 
 def integrate(
@@ -322,8 +364,9 @@ def integrate_snapshots(
     snapshots :func:`oracle_sweep` postselects.
 
     ``initial`` defaults to the split photon (with the configured theta at
-    the source) and the mirror in vacuum; it and every snapshot are
-    symmetrized once their Hermiticity drift is asserted below 1e-9.  A
+    the source) and the mirror in vacuum; any ``initial`` must have the
+    arm-B mirror in vacuum (ValueError otherwise).  It and every snapshot
+    are symmetrized once their Hermiticity drift is asserted below 1e-9.  A
     ``stats`` dict collects the worst trace drift, Hermiticity deviation
     and minimum eigenvalue seen, and the numbers of generator applications
     (``generator_applications``) and Taylor substeps (``taylor_substeps``).
@@ -348,22 +391,28 @@ def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0
     return mirror, np.trace(mirror).real
 
 
-def _dark_port_traces(blocks: np.ndarray, shifts: np.ndarray, transposed: np.ndarray) -> np.ndarray:
+def _dark_port_traces(states: np.ndarray, shifts: np.ndarray, transposed: np.ndarray) -> np.ndarray:
     """tr(M_theta O) for every e^{i theta} - 1 of ``shifts`` (axis 0), every
-    Hermitian O (axis 1, given as the stack of O^T) and every (3, N, N)
-    stack of AA, AB and BB in ``blocks`` (axis 2), M_theta being the
+    Hermitian O (axis 1, given as the stack of O^T) and every state vector
+    [AA.ravel(), v, b] of ``states`` (axis 2), M_theta being the
     unnormalized dark-port mirror state of :func:`postselect_density`.
 
     With BA = AB^dag, tr(M_theta O) = tr(M_0 O) - Re((e^{i theta} - 1)
     tr(AB O)), so two traces per operator serve every theta.  The near
     cancellation of the dark port stays entry by entry in M_0 = (AA - AB
-    - AB^dag + BB) / 2; only the small theta correction is taken after the
-    sum.
+    - AB^dag + BB) / 2, which is AA / 2 but in row and column 0, where AB =
+    v <0| and BB = b |0><0| sit; tr(AB O) = sum_l v[l] O[0, l].  Only the
+    small theta correction is taken after the sum.
     """
-    aa, ab, bb = np.moveaxis(blocks, -3, 0)
-    operators = transposed[:, None]
-    unshifted = (operators * ((aa - ab - ab.conj().swapaxes(-1, -2) + bb) / 2)).sum(axis=(2, 3)).real
-    cross = (operators * ab).sum(axis=(2, 3))
+    dim = math.isqrt(states.shape[1])
+    v = states[:, dim * dim:-1]
+    m0 = states[:, :dim * dim].reshape(-1, dim, dim).copy()
+    m0[:, :, 0] -= v
+    m0[:, 0] -= v.conj()
+    m0[:, 0, 0] += states[:, -1]
+    m0 /= 2
+    unshifted = (transposed[:, None] * m0).sum(axis=(2, 3)).real
+    cross = (transposed[:, None, :, 0] * v).sum(axis=-1)
     return unshifted - (shifts[:, None, None] * cross).real
 
 
@@ -397,7 +446,7 @@ def oracle_sweeps(
 
     theta enters only at postselection, so the group evolves once from the
     unshifted source: the truncated-Taylor propagator of :func:`_taylor`
-    carries the path blocks through the snapshot times chunk by chunk, and every
+    carries the state vector through the snapshot times chunk by chunk, and every
     member takes its unnormalized probability and moments from the same
     two traces per operator of each snapshot, one :func:`_dark_port_traces`
     call per chunk.  Returns one

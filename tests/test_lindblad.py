@@ -1,4 +1,4 @@
-"""Master-equation oracle: the block generator against the dense form,
+"""Master-equation oracle: the generator on the invariant set against the dense form,
 physicality along the flow, agreement with the exact undamped path and the
 damped closed forms, and the one propagator against two references it
 shares no code with (a dense Liouvillian exponential and expm_multiply)."""
@@ -54,18 +54,26 @@ def dense_step_propagators():
             for gamma in (0.0, 0.005)}
 
 
-def path_blocks(rho):
-    """The (3, N, N) stack of the path blocks AA, AB and BB of a joint
-    2N x 2N matrix, the oracle's state."""
+def oracle_state(rho):
+    """The oracle's state vector [AA.ravel(), AB[:, 0], BB[0, 0]] of a joint
+    2N x 2N matrix: its first N + 1 rows and columns, BA[0, :] left out."""
     dim = rho.shape[0] // 2
-    return rho.reshape(2, dim, 2, dim).swapaxes(1, 2).reshape(4, dim, dim)[[0, 1, 3]]
+    return np.concatenate([rho[:dim, :dim].ravel(), rho[:dim + 1, dim]])
+
+
+def random_invariant_state(seed, dim=8):
+    """A random Hermitian 2N x 2N matrix in the oracle's invariant set: zero
+    outside its first N + 1 rows and columns."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((2 * dim, 2 * dim), complex)
+    m[:dim + 1, :dim + 1] = rng.normal(size=(dim + 1, dim + 1)) + 1j * rng.normal(size=(dim + 1, dim + 1))
+    return m + m.conj().T
 
 
 def block_rhs(k, gamma, rho):
-    """d rho / d tau of a Hermitian rho through the package's block
-    generator, with BA = AB^dag."""
-    blocks = path_blocks(rho)
-    return _joint(_product(_block_generator(k, gamma, blocks.shape[-1]))(blocks.ravel()).reshape(blocks.shape))
+    """d rho / d tau of a Hermitian rho in the invariant set through the
+    package's generator, reassembled with BA = AB^dag."""
+    return _joint(_product(_block_generator(k, gamma, rho.shape[0] // 2))(oracle_state(rho))[None])[0]
 
 
 def expm_multiply_reference(generator):
@@ -142,16 +150,12 @@ class TestGenerator:
         assert h[1, 0] == pytest.approx(-K)   # arm-A block, one-phonon row
 
     def test_rhs_is_traceless(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        rho = m + m.conj().T
+        rho = random_invariant_state(7)
         d = block_rhs(K, 0.3, rho)
         assert abs(np.trace(d)) < 1e-12 * np.max(np.abs(rho))
 
     def test_rhs_preserves_hermiticity(self):
-        rng = np.random.default_rng(8)
-        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        rho = m + m.conj().T
+        rho = random_invariant_state(8)
         d = block_rhs(K, 0.1, rho)
         assert np.max(np.abs(d - d.conj().T)) < 1e-12 * np.max(np.abs(d))
 
@@ -161,9 +165,8 @@ class TestGenerator:
         assert np.allclose(block_rhs(K, 0.0, rho), -1j * (h @ rho - rho @ h), atol=1e-15)
 
     def test_rhs_with_damping_matches_the_dense_form(self):
-        rng = np.random.default_rng(9)
-        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        rho = m + m.conj().T
+        # all 2N x 2N entries: the dense form also leaves the invariant set's outside at 0
+        rho = random_invariant_state(9)
         dense = dr.rhs(0.2, 0.3, rho)
         assert np.max(np.abs(block_rhs(0.2, 0.3, rho) - dense)) < 1e-12 * np.max(np.abs(dense))
 
@@ -181,15 +184,19 @@ class TestGenerator:
         generator = _block_generator(k, gamma, dim)
         mu, _, norm = _shift(generator)
         liouvillian = dr.liouvillian(k, gamma, dim)
-        # positions in the joint rho's row-major vec of the stack's ravel() and of BA
+        # positions in the joint rho's row-major vec of the state vector's entries
         vec_index = np.arange(4 * dim * dim).reshape(2 * dim, 2 * dim)
-        kept, ba = path_blocks(vec_index).ravel(), vec_index[dim:, :dim].ravel()
-        # BA neither feeds nor is fed by AA, AB or BB
-        assert not liouvillian[np.ix_(kept, ba)].any() and not liouvillian[np.ix_(ba, kept)].any()
+        kept = oracle_state(vec_index)
+        outside = np.setdiff1d(vec_index, kept)
+        # the invariant set: the kept entries feed no other entry, and b feeds none at all
+        assert not liouvillian[np.ix_(outside, kept)].any()
+        assert not liouvillian[:, kept[-1]].any()
         dense = liouvillian[np.ix_(kept, kept)]
         n = dense.shape[0]
-        # BA's diagonal is the conjugate of AB's, so dropping it keeps tr L / n
-        dense_mu = np.trace(liouvillian) / liouvillian.shape[0]
+        assert n == dim * dim + dim + 1
+        # the trace shift is the real mean over AA's entries, -gamma (N - 1) / 2
+        # (the dense diagonal's imaginary parts carry the rounding of c^dag c)
+        dense_mu = np.diagonal(dense)[:dim * dim].real.mean()
         dense_norm = np.abs(dense - dense_mu * np.eye(n)).sum(axis=0).max()
         assert abs(mu - dense_mu) <= 1e-15 * abs(dense_mu)
         assert abs(norm - dense_norm) <= 1e-15 * dense_norm
@@ -265,27 +272,44 @@ class TestIntegrate:
             integrate(ModelParams(k=K), 0.3, IntegratorConfig(fock_dim=8), initial=initial, stats=stats)
         assert stats.get("generator_applications", 0) == 0
 
+    @pytest.mark.parametrize("changes", [
+        {(0, 9): 0.1, (9, 0): 0.1},       # AB[0, 1] and BA[1, 0]
+        {(9, 9): 0.1, (8, 8): -0.1},      # BB[1, 1], the trace kept at 1
+        {(15, 15): 0.1, (0, 0): -0.1},    # BB[7, 7]
+    ], ids=["ab-column-1", "bb-1-1", "bb-top"])
+    def test_initial_state_outside_the_invariant_set_is_rejected_before_any_product(self, changes):
+        # Hermitian and of unit trace, but the arm-B mirror is not in vacuum
+        initial = initial_joint_density(8)
+        for entry, change in changes.items():
+            initial[entry] += change
+        stats = {}
+        with pytest.raises(ValueError, match="arm-B mirror in vacuum"):
+            integrate(ModelParams(k=K), 0.3, IntegratorConfig(fock_dim=8), initial=initial, stats=stats)
+        assert stats.get("generator_applications", 0) == 0
+
     @pytest.mark.parametrize("entry, message", [
-        ((2, 0, 0, 1), "Hermiticity deviation 2.000e-06"),   # AA[0, 1] of the third snapshot
-        ((2, 2, 0, 0), "trace drifted by 2.000e-06"),        # BB[0, 0] of the third snapshot
+        ((2, 1), "Hermiticity deviation 2.000e-06"),     # AA[0, 1] of the third snapshot
+        ((2, -1), "trace drifted by 2.000e-06"),         # b = BB[0, 0] of the third snapshot
     ], ids=["non-hermitian-aa", "trace-drift"])
     def test_chunk_check_raises_the_first_failing_snapshot(self, entry, message):
-        chunk = np.stack([path_blocks(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
-        chunk[3, 0, 1, 0] += 1e-3           # worse, in both checks, but later
-        chunk[3, 2, 1, 1] += 1e-3
-        chunk[4, 1] += 1.0                  # AB is neither checked nor changed
+        chunk = np.stack([oracle_state(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
+        chunk[3, 16] += 1e-3                # AA[1, 0]: worse, in both checks, but later
+        chunk[3, -1] += 1e-3
+        chunk[4, 256:-1] += 1.0             # v = AB[:, 0] is neither checked nor changed
         chunk[entry] += 2e-6
         with pytest.raises(StepUnstable, match=message):
             _finalize(chunk, {})
 
     def test_chunk_check_symmetrizes_only_aa_and_bb(self):
-        chunk = np.stack([path_blocks(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
-        chunk[:, :, 0, 1] += 1e-12
+        # BB is b |0><0| with b real, which symmetrizing leaves as it is
+        chunk = np.stack([oracle_state(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
+        chunk[:, [1, 256]] += 1e-12         # AA[0, 1] and v[0]
         before = chunk.copy()
         _finalize(chunk, None)
-        assert np.array_equal(chunk[:, 1], before[:, 1])
-        for block in (0, 2):
-            assert np.array_equal(chunk[:, block], (before[:, block] + before[:, block].conj().swapaxes(-1, -2)) / 2)
+        assert np.array_equal(chunk[:, 256:], before[:, 256:])
+        assert not chunk[:, -1].imag.any()
+        aa = before[:, :256].reshape(-1, 16, 16)
+        assert np.array_equal(chunk[:, :256], ((aa + aa.conj().swapaxes(-1, -2)) / 2).reshape(-1, 256))
 
     def test_stats_eigenvalue_is_that_of_the_joint_state(self):
         stats = {}
@@ -298,7 +322,7 @@ class TestIntegrate:
         widened[:, :16, 16:] *= 3
         widened[:, 16:, :16] *= 3
         stats = {}
-        _finalize(np.stack([path_blocks(rho) for rho in widened]), stats)
+        _finalize(np.stack([oracle_state(rho) for rho in widened]), stats)
         least = np.linalg.eigvalsh(widened)[:, 0].min()
         assert least < -0.1 and abs(stats["min_eigenvalue"] - least) <= 1e-15
 
@@ -371,10 +395,10 @@ class TestPostselectDensity:
         shifts = np.expm1(1j * np.array(thetas))
         for gamma in (0.0, 0.005):
             snapshots = integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS)
-            stacked = _dark_port_traces(np.stack([path_blocks(rho) for rho in snapshots]), shifts, transposed)
+            stacked = _dark_port_traces(np.stack([oracle_state(rho) for rho in snapshots]), shifts, transposed)
             assert stacked.shape == (len(thetas), len(operators), len(snapshots))
             for rho, traces in zip(snapshots, np.moveaxis(stacked, -1, 0)):
-                one = _dark_port_traces(path_blocks(rho)[None], shifts, transposed)[..., 0]
+                one = _dark_port_traces(oracle_state(rho)[None], shifts, transposed)[..., 0]
                 assert np.max(np.abs(traces - one)) <= 1e-15
                 for theta, row in zip(thetas, traces):
                     mirror, _ = postselect_density(rho, theta=theta)
@@ -459,7 +483,7 @@ class TestTaylorPropagator:
     def test_matches_expm_multiply(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
         reference = expm_multiply_reference(generator)
-        v = path_blocks(initial_joint_density(dim, theta=0.3)).ravel()
+        v = oracle_state(initial_joint_density(dim, theta=0.3))
         advance, _ = _taylor(generator, None)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
@@ -470,7 +494,7 @@ class TestTaylorPropagator:
     def test_dense_output_matches_one_offset_calls(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
         reference = expm_multiply_reference(generator)
-        v = path_blocks(initial_joint_density(dim, theta=0.3)).ravel()
+        v = oracle_state(initial_joint_density(dim, theta=0.3))
         advance, norm = _taylor(generator, None)
         reach = _THETA[55] / norm          # the longest span of one degree-55 substep
         while reach * norm > _THETA[55]:
@@ -487,7 +511,7 @@ class TestTaylorPropagator:
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.005), (0.25, 0.05)])
     def test_dense_rows_match_in_loop_accumulation(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
-        v = path_blocks(initial_joint_density(dim, theta=0.3)).ravel()
+        v = oracle_state(initial_joint_density(dim, theta=0.3))
         advance, norm = _taylor(generator, None)
         reach = _THETA[55] / norm
         while reach * norm > _THETA[55]:
