@@ -24,7 +24,7 @@ from .model import (
     mean_q,
 )
 from .fockspace import WignerGrid, wigner
-from .lindblad import IntegratorConfig, StepUnstable, oracle_mean_p, oracle_mean_q
+from .lindblad import IntegratorConfig, StepUnstable
 from .sweeps import SweepConfig, SweepResult, VerifyReport, figure, run_sweep, verify
 
 __version__ = "0.1.0"
@@ -52,8 +52,6 @@ __all__ = [
     "kerr_phase",
     "mean_p",
     "mean_q",
-    "oracle_mean_p",
-    "oracle_mean_q",
     "run_sweep",
     "verify",
     "wigner",

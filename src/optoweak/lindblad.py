@@ -18,13 +18,13 @@ reach form a chunk, whose states one product forms from that substep's
 stored series terms, each time with its own weights.
 :func:`oracle_sweep` postselects each chunk in one call, every
 phase-shifter theta from the same two traces per observable;
-:func:`integrate` and :func:`integrate_snapshots` return the joint
-states.  Every analytic formula in :mod:`optoweak.model` is validated
-against this oracle; nothing here shares code with the closed forms: from
-:mod:`optoweak.model` it takes only ``ModelParams``,
-``DegeneratePostselection`` and ``TRACE_FLOOR``, and from
-:mod:`optoweak.fockspace`, which imports nothing from ``model``, only the
-two quadratures (``tests/test_imports.py::test_oracle_reaches_no_closed_form``).
+:func:`integrate_snapshots` returns the joint states.  Every analytic
+formula in :mod:`optoweak.model` is validated against this oracle;
+nothing here shares code with the closed forms: from
+:mod:`optoweak.model` it takes only ``ModelParams`` and ``TRACE_FLOOR``,
+and from :mod:`optoweak.fockspace`, which imports nothing from ``model``,
+only the two quadratures
+(``tests/test_imports.py::test_oracle_reaches_no_closed_form``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegeneratePostselection, ModelParams, TRACE_FLOOR
+from .model import ModelParams, TRACE_FLOOR
 from .fockspace import momentum_quadrature, position_quadrature
 
 _TRACE_DRIFT_LIMIT = 1e-6
@@ -148,13 +148,19 @@ def _product(diagonals: dict[int, np.ndarray]):
     return apply
 
 
-def initial_joint_density(dim: int, theta: float = 0.0) -> np.ndarray:
-    """|psi><psi| with the photon split over both arms (arm-A phase
-    e^{i theta}) and the mirror in vacuum: psi = (e^{i theta}|A> + |B>)
-    (x) |0> / sqrt(2), its entries at 0 and N of the ravelled (2, N) ket."""
-    psi = np.zeros(2 * dim, dtype=complex)
-    psi[0], psi[dim] = np.exp(1j * theta) / np.sqrt(2), 1 / np.sqrt(2)
-    return np.outer(psi, psi.conj())
+def _initial_state(dim: int, theta: float) -> np.ndarray:
+    """The state vector [AA.ravel(), v, b] of |psi><psi|, the photon split
+    over both arms (arm-A phase e^{i theta}) and the mirror in vacuum: psi
+    = (a|A> + b|B>) (x) |0> with a = e^{i theta} / sqrt(2) and b =
+    1 / sqrt(2).  Its only non-zero entries are AA[0, 0] = a a*, v[0] =
+    a b* and b b*, each the product that |psi><psi| forms; a a* keeps only
+    its real part, as the Hermitian part of |psi><psi| does (the product
+    rounds to an imaginary part of about 1e-17 at theta != 0)."""
+    a, b = np.exp(1j * theta) / np.sqrt(2), 1 / np.sqrt(2)
+    state = np.zeros(dim * dim + dim + 1, dtype=complex)
+    state[[0, dim * dim, -1]] = np.array([a, a, b]) * np.conj([a, b, b])
+    state[0] = state[0].real
+    return state
 
 
 def _shift(generator: dict[int, np.ndarray]):
@@ -268,30 +274,25 @@ def _joint(states: np.ndarray) -> np.ndarray:
     return np.pad(_bordered(states), ((0, 0), (0, pad), (0, pad)))
 
 
-def _guard(deviations, drifts) -> None:
-    """Raise StepUnstable for the first state whose Hermiticity deviation or
-    trace drift is past its limit (Hermiticity first)."""
-    for deviation, trace_drift in zip(deviations, drifts):
-        if deviation > _HERMITICITY_LIMIT:
-            raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
-        if trace_drift > _TRACE_DRIFT_LIMIT:
-            raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
-
-
 def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
     """Check the Hermiticity of AA and the trace tr AA + b of each state
-    vector of ``chunk`` (rows, N^2 + N + 1) in turn, then symmetrize AA in
-    place and record the extremes in ``stats`` (the deviations seen before
-    symmetrizing, the joint rho's least eigenvalue).  v is not checked, and
-    b is real by construction.  The joint rho's spectrum is that of
-    :func:`_bordered` and N - 1 zeros, so the eigenvalues come from the
-    (N + 1)^2 matrices."""
+    vector of ``chunk`` (rows, N^2 + N + 1) in turn, raising StepUnstable
+    for the first state past a limit (Hermiticity first), then symmetrize
+    AA in place and record the extremes in ``stats`` (the deviations seen
+    before symmetrizing, the joint rho's least eigenvalue).  v is not
+    checked, and b is real by construction.  The joint rho's spectrum is
+    that of :func:`_bordered` and N - 1 zeros, so the eigenvalues come from
+    the (N + 1)^2 matrices."""
     dim = math.isqrt(chunk.shape[1])
     aa = chunk[:, :dim * dim].reshape(-1, dim, dim)               # a view: symmetrized in place
     adjoint = aa.conj().swapaxes(-1, -2)
     deviations = np.abs(aa - adjoint).max(axis=(1, 2))
     drifts = np.abs(np.trace(aa, axis1=1, axis2=2).real + chunk[:, -1].real - 1.0)
-    _guard(deviations, drifts)
+    for deviation, trace_drift in zip(deviations, drifts):
+        if deviation > _HERMITICITY_LIMIT:
+            raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
+        if trace_drift > _TRACE_DRIFT_LIMIT:
+            raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
     np.multiply(aa + adjoint, 0.5, out=aa)
     if stats is not None:
         stats["trace_drift"] = max(stats.get("trace_drift", 0.0), drifts.max())
@@ -300,36 +301,23 @@ def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
         stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
 
 
-def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None):
+def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | None):
     """Yield the states at the times of ``taus`` chunk by chunk, each
     chunk a fresh (rows, N^2 + N + 1) array of state vectors [AA.ravel(),
-    v, b], from the joint 2N x 2N ``rho`` at 0 under the generator of (k,
-    gamma).
+    v, b], from ``state`` at 0 under the generator of (k, gamma).
 
-    Before any product, the whole ``rho`` must pass the Hermiticity and
-    trace checks of :func:`_guard` and vanish outside its first N + 1 rows
-    and columns (else ValueError: such a state is never projected); it is
-    then symmetrized and cut to one state vector.  Each chunk holds the
-    times that one Taylor substep serves from the last snapshot, at c:
-    every following t with (t - c) ||L||_1 <= theta_55 (at least one, so a
-    longer gap is a chunk of its own).  :func:`_taylor` carries the vector
-    at c to all of them at once, and the chunk passes :func:`_finalize` in
-    place.
+    Each chunk holds the times that one Taylor substep serves from the last
+    snapshot, at c: every following t with (t - c) ||L||_1 <= theta_55 (at
+    least one, so a longer gap is a chunk of its own).  :func:`_taylor`
+    carries the vector at c to all of them at once, and the chunk passes
+    :func:`_finalize` in place.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("snapshot times must be finite")
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
-    dim = rho.shape[0] // 2
-    adjoint = rho.conj().T
-    _guard([np.abs(rho - adjoint).max()], [abs(np.trace(rho).real - 1.0)])
-    if rho[dim + 1:].any() or rho[:, dim + 1:].any():
-        raise ValueError("the initial state must have the arm-B mirror in vacuum: AB[:, 1:] "
-                         "and every entry of BB but BB[0, 0] must be zero")
-    rho = (rho + adjoint) / 2
-    state = np.concatenate([rho[:dim, :dim].ravel(), rho[:dim + 1, dim]])
-    advance, norm = _taylor(_block_generator(k, gamma, dim), stats)
+    advance, norm = _taylor(_block_generator(k, gamma, math.isqrt(state.size)), stats)
     current, start = 0.0, 0
     while start < taus.size:
         offsets = taus[start:] - current
@@ -341,39 +329,26 @@ def _snapshots(k: float, gamma: float, taus, rho: np.ndarray, stats: dict | None
         state, current, start = chunk[-1], taus[stop - 1], stop
 
 
-def integrate(
-    params: ModelParams,
-    tau_end: float,
-    config: IntegratorConfig | None = None,
-    initial: np.ndarray | None = None,
-    stats: dict | None = None,
-) -> np.ndarray:
-    """The joint density matrix at tau_end: the one-time case of :func:`integrate_snapshots`."""
-    return integrate_snapshots(params, [tau_end], config, initial, stats)[0]
-
-
 def integrate_snapshots(
     params: ModelParams,
     taus,
     config: IntegratorConfig | None = None,
-    initial: np.ndarray | None = None,
     stats: dict | None = None,
 ) -> list[np.ndarray]:
     """The joint density matrix at each time of ``taus`` (finite,
     non-decreasing, non-negative), from one exact forward pass: the
     snapshots :func:`oracle_sweep` postselects.
 
-    ``initial`` defaults to the split photon (with the configured theta at
-    the source) and the mirror in vacuum; any ``initial`` must have the
-    arm-B mirror in vacuum (ValueError otherwise).  It and every snapshot
-    are symmetrized once their Hermiticity drift is asserted below 1e-9.  A
-    ``stats`` dict collects the worst trace drift, Hermiticity deviation
-    and minimum eigenvalue seen, and the numbers of generator applications
+    The evolution starts from the split photon (with the configured theta at
+    the source) and the mirror in vacuum.  Every snapshot is symmetrized
+    once its Hermiticity drift is asserted below 1e-9.  A ``stats`` dict
+    collects the worst trace drift, Hermiticity deviation and minimum
+    eigenvalue seen, and the numbers of generator applications
     (``generator_applications``) and Taylor substeps (``taylor_substeps``).
     """
     config = config or IntegratorConfig()
-    rho = initial_joint_density(config.fock_dim, params.theta) if initial is None else np.array(initial, dtype=complex)
-    return [state for chunk in _snapshots(params.k, params.gamma, taus, rho, stats) for state in _joint(chunk)]
+    state = _initial_state(config.fock_dim, params.theta)
+    return [rho for chunk in _snapshots(params.k, params.gamma, taus, state, stats) for rho in _joint(chunk)]
 
 
 def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0.0):
@@ -416,25 +391,6 @@ def _dark_port_traces(states: np.ndarray, shifts: np.ndarray, transposed: np.nda
     return unshifted - (shifts[:, None, None] * cross).real
 
 
-def _oracle_point(params: ModelParams, tau: float, config: IntegratorConfig | None):
-    q, p, prob = oracle_sweep(params, [tau], config)
-    if prob[0] < TRACE_FLOOR:
-        raise DegeneratePostselection("dark-port probability vanishes at this time")
-    return q[0], p[0]
-
-
-def oracle_mean_q(params: ModelParams, tau: float, config: IntegratorConfig | None = None) -> float:
-    """Conditional <q>/sigma from the integrated master equation: a one-point
-    :func:`oracle_sweep` that raises where the dark port cannot fire."""
-    return _oracle_point(params, tau, config)[0]
-
-
-def oracle_mean_p(params: ModelParams, tau: float, config: IntegratorConfig | None = None) -> float:
-    """Conditional <p> 2 sigma/hbar from the integrated master equation: a
-    one-point :func:`oracle_sweep` that raises where the dark port cannot fire."""
-    return _oracle_point(params, tau, config)[1]
-
-
 def oracle_sweeps(
     group: list[ModelParams],
     taus,
@@ -464,7 +420,7 @@ def oracle_sweeps(
     shifts = np.expm1(1j * np.array([params.theta for params in group]))
     traces = np.empty((len(group), 3, taus.size))
     start = 0
-    for chunk in _snapshots(group[0].k, group[0].gamma, taus, initial_joint_density(dim), stats):
+    for chunk in _snapshots(group[0].k, group[0].gamma, taus, _initial_state(dim, 0.0), stats):
         traces[..., start:start + len(chunk)] = _dark_port_traces(chunk, shifts, transposed)
         start += len(chunk)
     prob = traces[:, :1]

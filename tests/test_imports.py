@@ -14,7 +14,7 @@ PACKAGE = Path(optoweak.__file__).parent
 TESTS = Path(__file__).parent
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", PACKAGE.name}
 # what the oracle and the Fock-space module may take from model: no formula
-MODEL_NAMES_FOR_THE_ORACLE = {"ModelParams", "DegeneratePostselection", "TRACE_FLOOR"}
+MODEL_NAMES_FOR_THE_ORACLE = {"ModelParams", "TRACE_FLOOR"}
 
 
 def imported_packages(path):

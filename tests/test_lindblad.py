@@ -11,11 +11,7 @@ import literal_forms as lf
 from optoweak.lindblad import (
     IntegratorConfig,
     StepUnstable,
-    initial_joint_density,
-    integrate,
     integrate_snapshots,
-    oracle_mean_p,
-    oracle_mean_q,
     oracle_sweep,
     oracle_sweeps,
     postselect_density,
@@ -24,13 +20,13 @@ from optoweak.lindblad import (
     _block_generator,
     _dark_port_traces,
     _finalize,
+    _initial_state,
     _joint,
     _product,
     _shift,
     _taylor,
 )
 from optoweak.model import (
-    DegeneratePostselection,
     ModelParams,
     coherence_phase,
     coherent_amplitude,
@@ -160,7 +156,7 @@ class TestGenerator:
         assert np.max(np.abs(d - d.conj().T)) < 1e-12 * np.max(np.abs(d))
 
     def test_rhs_without_damping_is_a_commutator(self):
-        rho = initial_joint_density(8)
+        rho = dr.initial_density(8, 0.0)
         h = dr.hamiltonian(K, 8)
         assert np.allclose(block_rhs(K, 0.0, rho), -1j * (h @ rho - rho @ h), atol=1e-15)
 
@@ -220,19 +216,19 @@ class TestGenerator:
 class TestIntegrate:
     def test_undamped_matches_pure_evolution(self):
         p = ModelParams(k=K)
-        rho = integrate(p, TWO_PI, IntegratorConfig(dt=1e-3, fock_dim=16))
+        rho = integrate_snapshots(p, [TWO_PI], IntegratorConfig(dt=1e-3, fock_dim=16))[0]
         psi = evolve_pure(p, TWO_PI, initial_joint_state(16)).ravel()
         assert fidelity(psi, rho) > 1 - 1e-8
 
     def test_undamped_matches_analytic_joint_density(self):
         p = ModelParams(k=K)
-        rho = integrate(p, TWO_PI, IntegratorConfig(dt=1e-3, fock_dim=16))
+        rho = integrate_snapshots(p, [TWO_PI], IntegratorConfig(dt=1e-3, fock_dim=16))[0]
         assert np.max(np.abs(rho - analytic_joint_density(p, TWO_PI, 16))) < 1e-9
 
     def test_damping_scales_the_cross_block_by_exp_minus_d(self):
         cfg = IntegratorConfig(dt=1e-3, fock_dim=16)
-        rho_clean = integrate(ModelParams(k=K), TWO_PI, cfg)
-        rho_damped = integrate(ModelParams(k=K, gamma=0.005), TWO_PI, cfg)
+        rho_clean = integrate_snapshots(ModelParams(k=K), [TWO_PI], cfg)[0]
+        rho_damped = integrate_snapshots(ModelParams(k=K, gamma=0.005), [TWO_PI], cfg)[0]
         norm_clean = np.linalg.norm(rho_clean[:16, 16:])
         norm_damped = np.linalg.norm(rho_damped[:16, 16:])
         expected = np.exp(-decoherence_factor(ModelParams(k=K, gamma=0.005), TWO_PI))
@@ -240,12 +236,12 @@ class TestIntegrate:
 
     def test_damped_matches_analytic_joint_density(self):
         p = ModelParams(k=K, gamma=0.005, theta=0.001)
-        rho = integrate(p, 4.0, IntegratorConfig(dt=1e-3, fock_dim=16))
+        rho = integrate_snapshots(p, [4.0], IntegratorConfig(dt=1e-3, fock_dim=16))[0]
         assert np.max(np.abs(rho - analytic_joint_density(p, 4.0, 16))) < 1e-9
 
     def test_vacuum_is_a_damping_fixed_point(self):
         p = ModelParams(k=1e-30, gamma=0.3)
-        rho = integrate(p, 3.0, IntegratorConfig(dt=5e-3, fock_dim=8))
+        rho = integrate_snapshots(p, [3.0], IntegratorConfig(dt=5e-3, fock_dim=8))[0]
         mirror, prob = postselect_density(rho, dark_port=False)
         assert prob == pytest.approx(1.0, abs=1e-10)
         assert mirror[0, 0].real == pytest.approx(1.0, abs=1e-10)
@@ -255,37 +251,23 @@ class TestIntegrate:
         p = ModelParams(k=K, gamma=0.005)
         cfg = IntegratorConfig(dt=2e-3, fock_dim=12)
         snaps = integrate_snapshots(p, [0.5, 1.25], cfg)
-        direct = integrate(p, 1.25, cfg)
+        direct = integrate_snapshots(p, [1.25], cfg)[0]
         assert np.max(np.abs(snaps[1] - direct)) < 1e-10
 
-    def test_unnormalized_initial_state_trips_the_guard(self):
-        p = ModelParams(k=K)
-        with pytest.raises(StepUnstable):
-            integrate(p, 0.3, IntegratorConfig(dt=1e-3, fock_dim=8),
-                      initial=0.9 * initial_joint_density(8))
+    def test_config_sets_the_fock_cutoff(self):
+        assert integrate_snapshots(ModelParams(k=K), [0.3], IntegratorConfig(fock_dim=8))[0].shape == (16, 16)
 
-    def test_non_hermitian_initial_state_trips_the_guard_before_any_product(self):
-        initial = initial_joint_density(8)
-        initial[8, 0] += 1e-6   # BA, which the oracle does not evolve
-        stats = {}
-        with pytest.raises(StepUnstable, match="Hermiticity deviation 1.000e-06 before symmetrization"):
-            integrate(ModelParams(k=K), 0.3, IntegratorConfig(fock_dim=8), initial=initial, stats=stats)
-        assert stats.get("generator_applications", 0) == 0
-
-    @pytest.mark.parametrize("changes", [
-        {(0, 9): 0.1, (9, 0): 0.1},       # AB[0, 1] and BA[1, 0]
-        {(9, 9): 0.1, (8, 8): -0.1},      # BB[1, 1], the trace kept at 1
-        {(15, 15): 0.1, (0, 0): -0.1},    # BB[7, 7]
-    ], ids=["ab-column-1", "bb-1-1", "bb-top"])
-    def test_initial_state_outside_the_invariant_set_is_rejected_before_any_product(self, changes):
-        # Hermitian and of unit trace, but the arm-B mirror is not in vacuum
-        initial = initial_joint_density(8)
-        for entry, change in changes.items():
-            initial[entry] += change
-        stats = {}
-        with pytest.raises(ValueError, match="arm-B mirror in vacuum"):
-            integrate(ModelParams(k=K), 0.3, IntegratorConfig(fock_dim=8), initial=initial, stats=stats)
-        assert stats.get("generator_applications", 0) == 0
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.001, np.pi])
+    def test_initial_state_is_the_split_photon(self, dim, theta):
+        # exactly the Hermitian part of |psi><psi|, whose a a* rounds to an
+        # imaginary part of about 1e-17 at theta != 0
+        rho = dr.initial_density(dim, theta)
+        hermitian = (rho + rho.conj().T) / 2
+        assert np.max(np.abs(rho - hermitian)) <= 1e-17
+        assert np.array_equal(_initial_state(dim, theta), oracle_state(hermitian))
+        p = ModelParams(k=K, gamma=0.005, theta=theta)
+        assert np.array_equal(integrate_snapshots(p, [0.0], IntegratorConfig(fock_dim=dim))[0], hermitian)
 
     @pytest.mark.parametrize("entry, message", [
         ((2, 1), "Hermiticity deviation 2.000e-06"),     # AA[0, 1] of the third snapshot
@@ -328,8 +310,8 @@ class TestIntegrate:
 
     def test_stats_collection(self):
         stats = {}
-        integrate(ModelParams(k=K, gamma=0.005), 1.0,
-                  IntegratorConfig(dt=1e-3, fock_dim=12), stats=stats)
+        integrate_snapshots(ModelParams(k=K, gamma=0.005), [1.0],
+                            IntegratorConfig(dt=1e-3, fock_dim=12), stats=stats)
         assert stats["trace_drift"] < 1e-10
         assert stats["hermiticity_dev"] < 1e-12
         assert stats["min_eigenvalue"] > -1e-10
@@ -350,13 +332,13 @@ class TestIntegrate:
 class TestPostselectDensity:
     def test_ports_are_complete(self):
         p = ModelParams(k=K, gamma=0.005)
-        rho = integrate(p, 0.8, IntegratorConfig(dt=2e-3, fock_dim=12))
+        rho = integrate_snapshots(p, [0.8], IntegratorConfig(dt=2e-3, fock_dim=12))[0]
         _, dark = postselect_density(rho, dark_port=True)
         _, bright = postselect_density(rho, dark_port=False)
         assert dark + bright == pytest.approx(1.0, abs=1e-9)
 
     def test_silent_at_start(self):
-        rho = initial_joint_density(12)
+        rho = dr.initial_density(12, 0.0)
         _, prob = postselect_density(rho)
         assert prob == pytest.approx(0.0, abs=1e-30)
 
@@ -373,15 +355,15 @@ class TestPostselectDensity:
 
     def test_extremum_probability(self):
         p = ModelParams(k=K)
-        rho = integrate(p, TWO_PI * (1 + K), IntegratorConfig(dt=1e-3, fock_dim=16))
+        rho = integrate_snapshots(p, [TWO_PI * (1 + K)], IntegratorConfig(dt=1e-3, fock_dim=16))[0]
         _, prob = postselect_density(rho)
         assert prob == pytest.approx(1.2336508198497246e-8, rel=1e-5)
 
     def test_shifter_at_source_equals_shifter_at_postselection(self):
         cfg = IntegratorConfig(dt=1e-3, fock_dim=16)
-        at_source = integrate(ModelParams(k=K, gamma=0.005, theta=0.001), 2.0, cfg)
+        at_source = integrate_snapshots(ModelParams(k=K, gamma=0.005, theta=0.001), [2.0], cfg)[0]
         mirror_a, prob_a = postselect_density(at_source, theta=0.0)
-        plain = integrate(ModelParams(k=K, gamma=0.005), 2.0, cfg)
+        plain = integrate_snapshots(ModelParams(k=K, gamma=0.005), [2.0], cfg)[0]
         mirror_b, prob_b = postselect_density(plain, theta=0.001)
         assert prob_a == pytest.approx(prob_b, abs=1e-12)
         assert np.max(np.abs(mirror_a - mirror_b)) < 1e-12
@@ -409,22 +391,18 @@ class TestPostselectDensity:
 class TestOracleObservables:
     def test_short_time_equivalence(self):
         p = ModelParams(k=K)
-        assert oracle_mean_q(p, 0.1) == pytest.approx(float(mean_q(p, 0.1)), abs=1e-6)
+        assert oracle_sweep(p, [0.1])[0][0] == pytest.approx(float(mean_q(p, 0.1)), abs=1e-6)
 
     def test_momentum_equivalence_undamped(self):
         p = ModelParams(k=K, theta=0.001)
-        assert oracle_mean_p(p, 2.3) == pytest.approx(float(mean_p(p, 2.3)), abs=1e-6)
+        assert oracle_sweep(p, [2.3])[1][0] == pytest.approx(float(mean_p(p, 2.3)), abs=1e-6)
         damped = ModelParams(k=K, gamma=0.005, theta=0.001)
-        assert oracle_mean_p(damped, 2.3) == pytest.approx(float(mean_p(damped, 2.3)), abs=1e-6)
+        assert oracle_sweep(damped, [2.3])[1][0] == pytest.approx(float(mean_p(damped, 2.3)), abs=1e-6)
 
     def test_displacement_extremum_equivalence(self):
         p = ModelParams(k=K)
         tau = TWO_PI * (1 + K)
-        assert oracle_mean_q(p, tau) == pytest.approx(float(mean_q(p, tau)), abs=1e-4)
-
-    def test_degenerate_point_raises(self):
-        with pytest.raises(DegeneratePostselection):
-            oracle_mean_q(ModelParams(k=K), 0.0)
+        assert oracle_sweep(p, [tau])[0][0] == pytest.approx(float(mean_q(p, tau)), abs=1e-4)
 
     def test_stronger_coupling_and_damping_long_times(self):
         p = ModelParams(k=0.01, gamma=0.01, theta=0.001)
@@ -483,7 +461,7 @@ class TestTaylorPropagator:
     def test_matches_expm_multiply(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
         reference = expm_multiply_reference(generator)
-        v = oracle_state(initial_joint_density(dim, theta=0.3))
+        v = oracle_state(dr.initial_density(dim, 0.3))
         advance, _ = _taylor(generator, None)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
@@ -494,7 +472,7 @@ class TestTaylorPropagator:
     def test_dense_output_matches_one_offset_calls(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
         reference = expm_multiply_reference(generator)
-        v = oracle_state(initial_joint_density(dim, theta=0.3))
+        v = oracle_state(dr.initial_density(dim, 0.3))
         advance, norm = _taylor(generator, None)
         reach = _THETA[55] / norm          # the longest span of one degree-55 substep
         while reach * norm > _THETA[55]:
@@ -511,7 +489,7 @@ class TestTaylorPropagator:
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.005), (0.25, 0.05)])
     def test_dense_rows_match_in_loop_accumulation(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
-        v = oracle_state(initial_joint_density(dim, theta=0.3))
+        v = oracle_state(dr.initial_density(dim, 0.3))
         advance, norm = _taylor(generator, None)
         reach = _THETA[55] / norm
         while reach * norm > _THETA[55]:
@@ -577,7 +555,7 @@ class TestTaylorPropagator:
     lambda: oracle_sweep(ModelParams(k=K), [0.5, np.inf]),
     lambda: oracle_sweeps([ModelParams(k=K)], [-np.inf, 0.5]),
     lambda: integrate_snapshots(ModelParams(k=K), [np.nan]),
-    lambda: integrate(ModelParams(k=K), np.inf, IntegratorConfig(fock_dim=8)),
+    lambda: integrate_snapshots(ModelParams(k=K), [np.inf], IntegratorConfig(fock_dim=8)),
 ], ids=["exact-nan", "exact-inf", "exact-minus-inf", "snapshots-nan", "integrate-inf"])
 def test_non_finite_snapshot_time_is_rejected(evolve):
     with pytest.raises(ValueError, match="snapshot times must be finite"):
