@@ -52,6 +52,10 @@ COMMANDS = {
     # a large Kerr phase, |phi| up to 0.5
     "sweep-kerr": ["sweep", "--k", "0.25", "--gamma", "0.05", "--theta", "0.3", "--tau-end", "40",
                    "--steps", "400", "--observable", "both"],
+    # two gaps past one Taylor substep's reach, each of several substeps
+    "sweep-long-gap": ["sweep", "--engine", "both", "--observable", "both", "--k", "0.01",
+                       "--gamma", "0.01", "--theta", "0.001", "--tau-start", "6.2", "--tau-end", "19",
+                       "--steps", "2"],
     "sweep-defaults": ["sweep"],
     "wigner-defaults": ["wigner"],
 }

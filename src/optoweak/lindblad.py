@@ -41,25 +41,16 @@ from .fockspace import momentum_quadrature, position_quadrature
 _TRACE_DRIFT_LIMIT = 1e-6
 _HERMITICITY_LIMIT = 1e-9
 
-# theta_m for tolerance 2^-53 (Al-Mohy & Higham 2011, Table 3.1): s Taylor
-# polynomials of degree m give exp(t A) v to that tolerance while
-# t ||A||_1 <= s theta_m.
+# s Taylor polynomials of degree 55 give exp(t A) v to tolerance 2^-53 while
+# t ||A||_1 <= s theta_55 (Al-Mohy & Higham 2011, Table 3.1).
 _TAYLOR_TOL = 2.0 ** -53
+_THETA_55 = 9.9
 # The stopping test needs ||sum||_inf only where the two last terms are below
 # tolerance against B = ||v||_inf + sum_j ||term_j||_inf, restarted from each
 # ||sum||_inf taken.  Rounding in the at most 56 summands of the sum and of
 # B, and in their magnitudes, moves ||sum||_inf / B by at most about
 # (2 * 55 + 4) 2^-53 = 1.3e-14 above 1, so B (1 + 2^-44) bounds ||sum||_inf.
 _BOUND_SLACK = 1 + 2.0 ** -44
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
 # Substeps one span may take.  s grows linearly with the span (one 40-unit
 # span at Fock 32 takes 134 substeps, about 0.23 s on one core), so the cap
 # stands for roughly 20 s of evolution at Fock 32 and rejects spans that
@@ -189,9 +180,9 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
 
     The trace shift, the shifted diagonals and their 1-norm
     (:func:`_shift`) are taken once, and so is one buffer for the terms
-    of a substep.  Each call picks the degree m and the number of substeps
-    s that minimise m s for the last offset, and raises ValueError before
-    any product when s exceeds ``_MAX_SUBSTEPS``.  Each substep stores its
+    of a substep.  Each call takes s = ceil(offsets[-1] norm / theta_55)
+    substeps of degree at most 55, and raises ValueError before any
+    product when s exceeds ``_MAX_SUBSTEPS``.  Each substep stores its
     terms (term 0 is its start) and adds them into a running sum, the
     state at its end.  After s - 1 plain substeps of h = offsets[-1] / s,
     one real product weights term j of the last substep by r^j, r = 1 -
@@ -199,27 +190,24 @@ def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
     scaled by e^{mu r h}; the last row (r = 1) is then the running sum
     itself, so the state that seeds the next call does not depend on the
     other offsets.  Every offset must lie in that last substep, which holds
-    when offsets[-1] norm <= theta_55 (then s = 1).  As r^j <= 1, the
-    stopping test on the running sum bounds every other row too.  It takes
-    ||sum||_inf only once the two last terms are below tolerance against
-    the triangle bound of the sum (``_BOUND_SLACK``), restarted from each
-    ||sum||_inf taken, so every decision is that of ||sum||_inf alone.
+    when offsets[-1] norm <= theta_55 (then s = 1).  The stopping test on
+    the running sum alone ends each series; as r^j <= 1, it bounds every
+    other row too.  It takes ||sum||_inf only once the two last terms are
+    below tolerance against the triangle bound of the sum (``_BOUND_SLACK``),
+    restarted from each ||sum||_inf taken: every decision is ||sum||_inf's.
     """
     mu, shifted, norm = _shift(generator)
     apply = _product(shifted)
-    degrees = np.fromiter(_THETA.keys(), dtype=int)
-    thetas = np.fromiter(_THETA.values(), dtype=float)
-    terms = np.empty((degrees[-1] + 1, shifted[0].size), dtype=complex)  # rows touched only when used
+    terms = np.empty((56, shifted[0].size), dtype=complex)  # rows touched only when used
 
     def advance(v, offsets):
         span = offsets[-1]
         with np.errstate(over="ignore"):  # a count past the float range is inf, above the cap
-            substeps = np.ceil(span * norm / thetas)
-            best = np.argmin(degrees * substeps)  # the first, i.e. lowest, degree on a tie
-        if substeps[best] > _MAX_SUBSTEPS:
-            raise ValueError(f"a span of {span:g} needs {substeps[best]:.3g} Taylor "
+            substeps = np.ceil(span * norm / _THETA_55)
+        if substeps > _MAX_SUBSTEPS:
+            raise ValueError(f"a span of {span:g} needs {substeps:.3g} Taylor "
                              f"substeps, above the cap of {_MAX_SUBSTEPS}")
-        m, s = (int(degrees[best]), int(substeps[best])) if substeps[best] else (0, 1)
+        m, s = (55, int(substeps)) if substeps else (0, 1)
         applications = 0
         for _ in range(s):
             term, total, used = v, v.copy(), 1
@@ -322,7 +310,7 @@ def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | No
     while start < taus.size:
         offsets = taus[start:] - current
         with np.errstate(over="ignore"):  # a span past the float range is inf, beyond reach
-            stop = start + max(1, int(np.searchsorted(offsets * norm, _THETA[55], side="right")))
+            stop = start + max(1, int(np.searchsorted(offsets * norm, _THETA_55, side="right")))
         chunk = advance(state, offsets[:stop - start])
         _finalize(chunk, stats)
         yield chunk

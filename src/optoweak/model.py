@@ -13,6 +13,7 @@ post-selecting the photon at the dark port of the balanced interferometer.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +233,7 @@ def approx_state_coeffs(params: ModelParams, tau, n: int):
     |0> and |1>:  c0 = i (theta + k^2 T),  c1 = i k (tau - T).
     Valid for |tau - T| << 1, k << 1, k^2 T << 1; computed unconditionally.
     """
-    if n < 0:
+    if not (isinstance(n, numbers.Integral) and n >= 0):
         raise ValueError("n must be a non-negative integer")
     T = 2 * np.pi * n
     c0 = 1j * (params.theta + params.k**2 * T)

@@ -269,8 +269,9 @@ def verify(
     each parameter set they hit instead of aborting the report.  The
     report passes only if it compared at least one point, recorded no
     error and every difference is below ``tolerance``, which must be finite
-    and non-negative.  When ``out`` is given the JSON report is written
-    there.
+    and non-negative.  A grid entry whose observable is not "q" or "p"
+    raises ValueError before any evolution.  When ``out`` is given the
+    JSON report is written there.
     """
     if not 0.0 <= tolerance < math.inf:  # also rejects NaN
         raise ValueError(f"tolerance={tolerance} must be finite and non-negative")
@@ -280,6 +281,8 @@ def verify(
 
     by_params: dict[model.ModelParams, list[str]] = {}
     for params, observable in grid:
+        if observable not in ("q", "p"):
+            raise ValueError(f"grid entry ({params!r}, {observable!r}): observable must be 'q' or 'p'")
         by_params.setdefault(params, []).append(observable)
     # theta enters the oracle only at postselection: one evolution per (k, gamma)
     groups: dict[tuple[float, float], list[model.ModelParams]] = {}

@@ -16,7 +16,7 @@ from optoweak.lindblad import (
     oracle_sweeps,
     postselect_density,
     _TAYLOR_TOL,
-    _THETA,
+    _THETA_55,
     _block_generator,
     _dark_port_traces,
     _finalize,
@@ -92,16 +92,13 @@ def in_loop_advance(generator, v, offsets):
     mu, shifted, norm = _shift(generator)
     apply = _product(shifted)
     span = offsets[-1]
-    assert span * norm <= _THETA[55]
-    substeps = {m: np.ceil(span * norm / theta) for m, theta in _THETA.items()}
-    m = min(substeps, key=lambda m: (m * substeps[m], m))
-    assert substeps[m] <= 1
+    assert span * norm <= _THETA_55
     r = 1 - (span - offsets) / span if span else np.ones(offsets.size)
     sums = np.repeat(v[None], r.size, axis=0)
     parts = sums.view(float)
     term = v
     c1 = np.max(np.abs(term))
-    for j in range(m if span else 0):
+    for j in range(55 if span else 0):
         term = (span / (j + 1)) * apply(term)
         c2 = np.max(np.abs(term))
         parts += (r ** (j + 1))[:, None] * term.view(float)
@@ -474,8 +471,8 @@ class TestTaylorPropagator:
         reference = expm_multiply_reference(generator)
         v = oracle_state(dr.initial_density(dim, 0.3))
         advance, norm = _taylor(generator, None)
-        reach = _THETA[55] / norm          # the longest span of one degree-55 substep
-        while reach * norm > _THETA[55]:
+        reach = _THETA_55 / norm          # the longest span of one degree-55 substep
+        while reach * norm > _THETA_55:
             reach = np.nextafter(reach, 0)
         offsets = np.array([0.0, 0.3 * reach, 0.3 * reach, 0.71 * reach, reach])
         dense = advance(v, offsets)
@@ -491,8 +488,8 @@ class TestTaylorPropagator:
         generator = _block_generator(k, gamma, dim)
         v = oracle_state(dr.initial_density(dim, 0.3))
         advance, norm = _taylor(generator, None)
-        reach = _THETA[55] / norm
-        while reach * norm > _THETA[55]:
+        reach = _THETA_55 / norm
+        while reach * norm > _THETA_55:
             reach = np.nextafter(reach, 0)
         offsets = np.linspace(0, reach, 21)
         rows, reference = advance(v, offsets), in_loop_advance(generator, v, offsets)
@@ -524,6 +521,17 @@ class TestTaylorPropagator:
         oracle_sweep(ModelParams(k=0.25, gamma=0.05, theta=0.3), np.linspace(0, 40, 400),
                      IntegratorConfig(fock_dim=16), stats)
         assert stats["generator_applications"] == 1675
+
+    def test_long_gaps_take_ceil_of_span_norm_over_theta_55_substeps(self):
+        # two gaps past one substep's reach, 6.2 and 12.8 ||L||_1 / theta_55
+        # = 9.4 and 19.5: 10 + 20 substeps
+        p, taus = ModelParams(k=0.01, gamma=0.01, theta=0.001), [6.2, 19.0]
+        config = IntegratorConfig(fock_dim=16)
+        _, norm = _taylor(_block_generator(p.k, p.gamma, config.fock_dim), None)
+        stats = {}
+        oracle_sweep(p, taus, config, stats)
+        gaps = np.diff(taus, prepend=0)
+        assert stats["taylor_substeps"] == sum(np.ceil(gaps * norm / _THETA_55)) == 30
 
     def test_returned_snapshots_do_not_alias(self):
         p = ModelParams(k=K, gamma=0.005)

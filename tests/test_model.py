@@ -324,8 +324,10 @@ class TestSmallTimeExpansion:
         assert c1 == pytest.approx(1e-3j, rel=1e-12)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            approx_state_coeffs(ModelParams(k=K), 0.1, -1)
+        # and a non-integral one: 0.5 would expand about T = pi, where no period ends
+        for n in (-1, 0.5):
+            with pytest.raises(ValueError, match="n must be a non-negative integer"):
+                approx_state_coeffs(ModelParams(k=K), 0.1, n)
 
     def test_displacement_at_period_is_zero(self):
         assert approx_mean_q(ModelParams(k=K), TWO_PI, 1) == 0.0

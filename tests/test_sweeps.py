@@ -2,6 +2,7 @@
 report."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -578,6 +579,16 @@ class TestVerify:
         assert len(report.points) == 3
         assert np.isnan(report.max_abs_diff)
         assert not report.passed
+
+    def test_unknown_observable_is_rejected_before_any_evolution(self, monkeypatch):
+        evolutions = []
+        monkeypatch.setattr(lindblad, "oracle_sweeps", lambda *args, **kwargs: evolutions.append(args))
+        damped = ModelParams(k=K, gamma=0.005, theta=0.001)
+        entry = re.escape(f"grid entry ({damped!r}, 'both'): observable must be 'q' or 'p'")
+        with pytest.raises(ValueError, match=entry):
+            verify(grid=[(ModelParams(k=K, theta=0.001), "q"), (damped, "both")],
+                   config=IntegratorConfig(fock_dim=8), taus=np.linspace(0.5, 1, 3))
+        assert evolutions == []
 
     @pytest.mark.parametrize("grid, taus", [
         ([], None),
