@@ -71,16 +71,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The entries of the ``--config`` file as ``--key=value`` flags; a null
-    entry leaves its option at the default, and each other entry must be a
-    JSON string or number."""
+    """The entries of the ``--config`` file as ``--key=value`` flags; each
+    key must name an option of the command, a null entry leaves its option
+    at the default, and each other entry must be a JSON string or number."""
     try:
         entries = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(entries, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
-    unknown = set(entries) - (set(vars(args)) - {"command", "config"})
+    # command and figure's positional name are no options; config names this file
+    unknown = set(entries) - (set(vars(args)) - {"command", "config", "name"})
     if unknown:
         raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
     for key, value in entries.items():

@@ -172,78 +172,6 @@ def _shift(generator: dict[int, np.ndarray]):
     return mu, shifted, column_sums.max()
 
 
-def _taylor(generator: dict[int, np.ndarray], stats: dict | None):
-    """(advance, norm) for :func:`_snapshots`: advance(v, offsets) returns
-    exp(t L) v as one row per t of the non-decreasing ``offsets``, by
-    truncated Taylor series (algorithm 3.2 of Al-Mohy & Higham 2011) with
-    dense output; norm is the exact ||L - mu I||_1.
-
-    The trace shift, the shifted diagonals and their 1-norm
-    (:func:`_shift`) are taken once, and so is one buffer for the terms
-    of a substep.  Each call takes s = ceil(offsets[-1] norm / theta_55)
-    substeps of degree at most 55, and raises ValueError before any
-    product when s exceeds ``_MAX_SUBSTEPS``.  Each substep stores its
-    terms (term 0 is its start) and adds them into a running sum, the
-    state at its end.  After s - 1 plain substeps of h = offsets[-1] / s,
-    one real product weights term j of the last substep by r^j, r = 1 -
-    (offsets[-1] - t) / h, for every offset t at once, and each row is
-    scaled by e^{mu r h}; the last row (r = 1) is then the running sum
-    itself, so the state that seeds the next call does not depend on the
-    other offsets.  Every offset must lie in that last substep, which holds
-    when offsets[-1] norm <= theta_55 (then s = 1).  The stopping test on
-    the running sum alone ends each series; as r^j <= 1, it bounds every
-    other row too.  It takes ||sum||_inf only once the two last terms are
-    below tolerance against the triangle bound of the sum (``_BOUND_SLACK``),
-    restarted from each ||sum||_inf taken: every decision is ||sum||_inf's.
-    """
-    mu, shifted, norm = _shift(generator)
-    apply = _product(shifted)
-    terms = np.empty((56, shifted[0].size), dtype=complex)  # rows touched only when used
-
-    def advance(v, offsets):
-        span = offsets[-1]
-        with np.errstate(over="ignore"):  # a count past the float range is inf, above the cap
-            substeps = np.ceil(span * norm / _THETA_55)
-        if substeps > _MAX_SUBSTEPS:
-            raise ValueError(f"a span of {span:g} needs {substeps:.3g} Taylor "
-                             f"substeps, above the cap of {_MAX_SUBSTEPS}")
-        m, s = (55, int(substeps)) if substeps else (0, 1)
-        applications = 0
-        for _ in range(s):
-            term, total, used = v, v.copy(), 1
-            terms[0] = v
-            c1 = bound = np.max(np.abs(v))
-            for j in range(m):
-                term = np.multiply(span / (s * (j + 1)), apply(term), out=terms[j + 1])
-                applications += 1
-                used = j + 2
-                c2 = np.max(np.abs(term))
-                total += term
-                bound += c2
-                # two terms below tolerance against B >= ||total||_inf, then against ||total||_inf
-                if (c1 + c2 <= _TAYLOR_TOL * (bound * _BOUND_SLACK)
-                        and c1 + c2 <= _TAYLOR_TOL * (bound := np.max(np.abs(total)))):
-                    break
-                c1 = c2
-            v = total
-            v *= np.exp(span * mu / s)
-        h = span / s
-        r = 1 - (span - offsets) / h if h else np.ones(offsets.size)
-        # Real weights scale real and imaginary parts alike.  The product forms
-        # the r = 1 row too, so that a chunk of two is still a matrix-matrix
-        # product, which sums each row in term order (a vector-matrix one
-        # groups the terms and moves the rows by more rounding).
-        rows = (r[:, None] ** np.arange(used) @ terms[:used].view(float)).view(complex)
-        rows *= np.exp(r * span * mu / s)[:, None]
-        rows[-1] = v
-        if stats is not None:
-            stats["generator_applications"] = stats.get("generator_applications", 0) + applications
-            stats["taylor_substeps"] = stats.get("taylor_substeps", 0) + s
-        return rows
-
-    return advance, norm
-
-
 def _bordered(states: np.ndarray) -> np.ndarray:
     """[[AA, v], [v^dag, b]] of each state vector (row) of ``states``: the
     joint rho on its first N + 1 rows and columns, where it is non-zero."""
@@ -292,29 +220,85 @@ def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
 def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | None):
     """Yield the states at the times of ``taus`` chunk by chunk, each
     chunk a fresh (rows, N^2 + N + 1) array of state vectors [AA.ravel(),
-    v, b], from ``state`` at 0 under the generator of (k, gamma).
+    v, b], from ``state`` at 0 under the generator L of (k, gamma), by
+    truncated Taylor series (algorithm 3.2 of Al-Mohy & Higham 2011) with
+    dense output.
 
-    Each chunk holds the times that one Taylor substep serves from the last
-    snapshot, at c: every following t with (t - c) ||L||_1 <= theta_55 (at
-    least one, so a longer gap is a chunk of its own).  :func:`_taylor`
-    carries the vector at c to all of them at once, and the chunk passes
-    :func:`_finalize` in place.
+    The trace shift mu, the shifted diagonals and their 1-norm
+    (:func:`_shift`) are taken once, and so is one buffer for the terms of
+    a substep.  Each chunk holds the times that one substep serves from the
+    last snapshot, at c: every following t with (t - c) ||L - mu I||_1 <=
+    theta_55 (at least one, so a longer gap is a chunk of its own).  Its
+    last offset, the span, takes s = ceil(span ||L - mu I||_1 / theta_55)
+    substeps of degree at most 55; ValueError is raised before the chunk's
+    first product when s exceeds ``_MAX_SUBSTEPS``.  Each
+    substep stores its terms (term 0 is its start) and adds them into a
+    running sum, the state at its end.  After s - 1 plain substeps of h =
+    span / s, one real product weights term j of the last substep by r^j,
+    r = 1 - (span - t) / h, for every offset t at once, and each row is
+    scaled by e^{mu r h}; the last row (r = 1) is then the running sum
+    itself, so the state that seeds the next chunk does not depend on the
+    other offsets.  The stopping test on the running sum alone ends each
+    series; as r^j <= 1, it bounds every other row too.  It takes
+    ||sum||_inf only once the two last terms are below tolerance against
+    the triangle bound of the sum (``_BOUND_SLACK``), restarted from each
+    ||sum||_inf taken: every decision is ||sum||_inf's.  The chunk then
+    passes :func:`_finalize` in place.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("snapshot times must be finite")
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
-    advance, norm = _taylor(_block_generator(k, gamma, math.isqrt(state.size)), stats)
+    mu, shifted, norm = _shift(_block_generator(k, gamma, math.isqrt(state.size)))
+    apply = _product(shifted)
+    terms = np.empty((56, state.size), dtype=complex)  # rows touched only when used
     current, start = 0.0, 0
     while start < taus.size:
         offsets = taus[start:] - current
-        with np.errstate(over="ignore"):  # a span past the float range is inf, beyond reach
-            stop = start + max(1, int(np.searchsorted(offsets * norm, _THETA_55, side="right")))
-        chunk = advance(state, offsets[:stop - start])
+        with np.errstate(over="ignore"):  # past the float range: inf, beyond reach and the cap
+            reach = offsets * norm
+        size = max(1, int(np.searchsorted(reach, _THETA_55, side="right")))
+        offsets, span = offsets[:size], offsets[size - 1]
+        substeps = np.ceil(reach[size - 1] / _THETA_55)
+        if substeps > _MAX_SUBSTEPS:
+            raise ValueError(f"a span of {span:g} needs {substeps:.3g} Taylor "
+                             f"substeps, above the cap of {_MAX_SUBSTEPS}")
+        m, s = (55, int(substeps)) if substeps else (0, 1)
+        applications = 0
+        for _ in range(s):
+            term, total, used = state, state.copy(), 1
+            terms[0] = state
+            c1 = bound = np.max(np.abs(state))
+            for j in range(m):
+                term = np.multiply(span / (s * (j + 1)), apply(term), out=terms[j + 1])
+                applications += 1
+                used = j + 2
+                c2 = np.max(np.abs(term))
+                total += term
+                bound += c2
+                # two terms below tolerance against B >= ||total||_inf, then against ||total||_inf
+                if (c1 + c2 <= _TAYLOR_TOL * (bound * _BOUND_SLACK)
+                        and c1 + c2 <= _TAYLOR_TOL * (bound := np.max(np.abs(total)))):
+                    break
+                c1 = c2
+            state = total
+            state *= np.exp(span * mu / s)
+        h = span / s
+        r = 1 - (span - offsets) / h if h else np.ones(size)
+        # Real weights scale real and imaginary parts alike.  The product forms
+        # the r = 1 row too, so that a chunk of two is still a matrix-matrix
+        # product, which sums each row in term order (a vector-matrix one
+        # groups the terms and moves the rows by more rounding).
+        chunk = (r[:, None] ** np.arange(used) @ terms[:used].view(float)).view(complex)
+        chunk *= np.exp(r * span * mu / s)[:, None]
+        chunk[-1] = state
+        if stats is not None:
+            stats["generator_applications"] = stats.get("generator_applications", 0) + applications
+            stats["taylor_substeps"] = stats.get("taylor_substeps", 0) + int(substeps)
         _finalize(chunk, stats)
         yield chunk
-        state, current, start = chunk[-1], taus[stop - 1], stop
+        state, current, start = chunk[-1], taus[start + size - 1], start + size
 
 
 def integrate_snapshots(
@@ -389,7 +373,7 @@ def oracle_sweeps(
     share k and gamma, from one exact evolution.
 
     theta enters only at postselection, so the group evolves once from the
-    unshifted source: the truncated-Taylor propagator of :func:`_taylor`
+    unshifted source: the truncated-Taylor propagator of :func:`_snapshots`
     carries the state vector through the snapshot times chunk by chunk, and every
     member takes its unnormalized probability and moments from the same
     two traces per operator of each snapshot, one :func:`_dark_port_traces`

@@ -163,7 +163,8 @@ _AXIS_P = "&#10216;p&#10217;&#183;2&#963;/&#8463;"
 
 def emit_plot(data: SweepResult, path) -> Path:
     """Render the observable columns of a SweepResult as a line plot over tau
-    (:func:`svg_heatmap` renders a WignerGrid)."""
+    (:func:`svg_heatmap` renders a WignerGrid).  Only ``data`` itself is
+    drawn: its ``oracle_companion``, if any, is not."""
     series = []
     if data.q is not None:
         series.append((data.tau, data.q, _AXIS_Q, False))

@@ -237,6 +237,7 @@ class TestCliErrors:
              """config entry 'out' must be a JSON string or number, not ["a", "b"]"""),
             (["sweep"], {"observable": "x"}, "argument --observable: invalid choice: 'x'"),
             (["sweep"], 3, "must hold a JSON object"),
+            (["figure", "fig4"], {"name": "fig2"}, "unknown config keys for figure: ['name']"),
             (["sweep", "--out", "nodir/s.csv"], None, "cannot write sweep CSV to nodir/s.csv"),
             (["wigner", "--out", "nodir/w.svg"], None, "No such file or directory: 'nodir/w.svg'"),
             (["figure", "fig4", "--out-dir", "file/x"], None, "Not a directory: 'file/x'"),
@@ -248,7 +249,7 @@ class TestCliErrors:
              "wigner-fock-dim", "wigner-config-state",
              "config-steps-float", "config-steps-word", "config-k-bool",
              "config-plot-false", "config-out-list",
-             "config-observable", "config-not-object",
+             "config-observable", "config-not-object", "config-figure-name",
              "sweep-unwritable", "wigner-unwritable", "figure-unwritable"],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, args, config,

@@ -24,7 +24,7 @@ from optoweak.lindblad import (
     _joint,
     _product,
     _shift,
-    _taylor,
+    _snapshots,
 )
 from optoweak.model import (
     ModelParams,
@@ -86,7 +86,7 @@ def expm_multiply_reference(generator):
 def in_loop_advance(generator, v, offsets):
     """exp(t L) v for every t of ``offsets`` within one substep's reach by
     per-term accumulation, the reference for the stored-term product of
-    ``_taylor``: each term enters every offset's partial sum, weighted by
+    ``_snapshots``: each term enters every offset's partial sum, weighted by
     r^j, right after its product, and the stopping test takes ||sum||_inf
     after every product."""
     mu, shifted, norm = _shift(generator)
@@ -456,43 +456,44 @@ class TestTaylorPropagator:
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
     def test_matches_expm_multiply(self, dim, k, gamma):
-        generator = _block_generator(k, gamma, dim)
-        reference = expm_multiply_reference(generator)
-        v = oracle_state(dr.initial_density(dim, 0.3))
-        advance, _ = _taylor(generator, None)
+        reference = expm_multiply_reference(_block_generator(k, gamma, dim))
+        v = _initial_state(dim, 0.3)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
-            assert np.max(np.abs(advance(v, np.array([span]))[0] - reference(span, v))) <= 1e-13, span
+            (state,), = _snapshots(k, gamma, [span], v, None)   # one chunk of one row
+            assert np.max(np.abs(state - reference(span, v))) <= 1e-13, span
 
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
     def test_dense_output_matches_one_offset_calls(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
         reference = expm_multiply_reference(generator)
-        v = oracle_state(dr.initial_density(dim, 0.3))
-        advance, norm = _taylor(generator, None)
+        v = _initial_state(dim, 0.3)
+        _, _, norm = _shift(generator)
         reach = _THETA_55 / norm          # the longest span of one degree-55 substep
         while reach * norm > _THETA_55:
             reach = np.nextafter(reach, 0)
         offsets = np.array([0.0, 0.3 * reach, 0.3 * reach, 0.71 * reach, reach])
-        dense = advance(v, offsets)
+        dense, = _snapshots(k, gamma, offsets, v, None)   # every offset within one substep's reach
         assert dense.shape == (offsets.size, v.size)
         assert np.array_equal(dense[0], v) and np.array_equal(dense[1], dense[2])
         for t, state in zip(offsets, dense):
-            assert np.max(np.abs(state - advance(v, np.array([t]))[0])) <= 1e-15, t
+            (single,), = _snapshots(k, gamma, [t], v, None)
+            assert np.max(np.abs(state - single)) <= 1e-15, t
             assert np.max(np.abs(state - reference(t, v))) <= 1e-13, t
 
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.005), (0.25, 0.05)])
     def test_dense_rows_match_in_loop_accumulation(self, dim, k, gamma):
         generator = _block_generator(k, gamma, dim)
-        v = oracle_state(dr.initial_density(dim, 0.3))
-        advance, norm = _taylor(generator, None)
+        v = _initial_state(dim, 0.3)
+        _, _, norm = _shift(generator)
         reach = _THETA_55 / norm
         while reach * norm > _THETA_55:
             reach = np.nextafter(reach, 0)
         offsets = np.linspace(0, reach, 21)
-        rows, reference = advance(v, offsets), in_loop_advance(generator, v, offsets)
+        (rows,), reference = _snapshots(k, gamma, offsets, v, None), in_loop_advance(generator, v, offsets)
+        _finalize(reference, None)                        # the symmetrization every chunk passes
         assert np.array_equal(rows[-1], reference[-1])   # the running sum seeds the next chunk
         assert np.max(np.abs(rows - reference)) <= 1e-15
 
@@ -524,14 +525,18 @@ class TestTaylorPropagator:
 
     def test_long_gaps_take_ceil_of_span_norm_over_theta_55_substeps(self):
         # two gaps past one substep's reach, 6.2 and 12.8 ||L||_1 / theta_55
-        # = 9.4 and 19.5: 10 + 20 substeps
-        p, taus = ModelParams(k=0.01, gamma=0.01, theta=0.001), [6.2, 19.0]
+        # = 9.4 and 19.5: 10 + 20 substeps; a repeated time adds none
+        p = ModelParams(k=0.01, gamma=0.01, theta=0.001)
         config = IntegratorConfig(fock_dim=16)
-        _, norm = _taylor(_block_generator(p.k, p.gamma, config.fock_dim), None)
-        stats = {}
-        oracle_sweep(p, taus, config, stats)
-        gaps = np.diff(taus, prepend=0)
-        assert stats["taylor_substeps"] == sum(np.ceil(gaps * norm / _THETA_55)) == 30
+        _, _, norm = _shift(_block_generator(p.k, p.gamma, config.fock_dim))
+        for taus in ([6.2, 19.0], [6.2, 6.2, 19.0]):
+            stats = {}
+            q, pmom, prob = oracle_sweep(p, taus, config, stats)
+            gaps = np.diff(taus, prepend=0)
+            assert stats["taylor_substeps"] == sum(np.ceil(gaps * norm / _THETA_55)) == 30, taus
+        assert stats["generator_applications"] == 629     # of [6.2, 6.2, 19.0], run last
+        for column in (q, pmom, prob):
+            assert np.array_equal(column[0], column[1])
 
     def test_returned_snapshots_do_not_alias(self):
         p = ModelParams(k=K, gamma=0.005)
