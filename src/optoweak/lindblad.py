@@ -5,19 +5,18 @@ Evolves
     d rho / d tau = -i [H, rho] + (gamma/2)(2 C rho C^dag - C^dag C rho - rho C^dag C)
 
 with H = I_path (x) c^dag c - k |A><A| (x) (c + c^dag) and C = I_path (x) c.
-H and C commute with |A><A|, so each path block evolves on its own, and
-the arm-B mirror starts in vacuum and stays there: the joint rho keeps
-the form [[AA, AB], [BA, BB]] with AB = v <0|, BA = AB^dag and
-BB = b |0><0|, the set of states that vanish outside their first N + 1
-rows and columns.  The oracle evolves the state vector [AA.ravel(), v, b]
-of N^2 + N + 1 entries under one generator with six non-zero diagonals
-(offsets 0, -+1, -+N and N + 1), held in numpy arrays, and one propagator
-applies its exact exponential by truncated Taylor series (Al-Mohy &
-Higham 2011), with dense output: the snapshot times within one substep's
-reach form a chunk, whose states one product forms from that substep's
-stored series terms, each time with its own weights.
-:func:`oracle_sweep` postselects each chunk in one call, every
-phase-shifter theta from the same two traces per observable;
+The arm-B mirror starts in vacuum, and H and C map the N + 1 levels S =
+{|A, 0>, ..., |A, N - 1>, |B, 0>} into S, so the joint rho vanishes
+outside its first N + 1 rows and columns.  The oracle evolves R, the
+(N + 1) x (N + 1) joint rho on S, as the state vector R.ravel() under
+the Lindblad generator of an (N + 1)-level system, six non-zero
+diagonals (offsets 0, -+1, -+(N + 1) and N + 2) held in numpy arrays, and
+one propagator applies its exact exponential by truncated Taylor series
+(Al-Mohy & Higham 2011), with dense output: the snapshot times within one
+substep's reach form a chunk, whose states one product forms from that
+substep's stored series terms, each time with its own weights.
+:func:`oracle_sweep` postselects each chunk with one product, every
+phase-shifter theta and observable from its own kernel;
 :func:`integrate_snapshots` returns the joint states.  Every analytic
 formula in :mod:`optoweak.model` is validated against this oracle;
 nothing here shares code with the closed forms: from
@@ -78,39 +77,33 @@ class IntegratorConfig:
 
 
 def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
-    """Generator of the oracle's state vector [AA.ravel(), v, b] (see the
-    module docstring), as its six non-zero diagonals.
+    """Generator of the oracle's state vector R.ravel() (see the module
+    docstring), as its six non-zero diagonals.
 
-    H and C commute with |A><A|, so each N x N path block rho_ij evolves on
-    its own under -i (H_i rho_ij - rho_ij H_j) + gamma (c rho_ij c^dag - (n
-    rho_ij + rho_ij n)/2), with H_A = n - k x and H_B = n.  On AA, entry
-    (l, r) meets only itself (offset 0), (l -+ 1, r) through x on the left
-    (offsets -+N), (l, r -+ 1) through x on the right (offsets -+1) and
-    (l + 1, r + 1) through the jump c rho c^dag (offset N + 1).  On v =
-    AB[:, 0], entry l meets itself and, through x on the left, v[l -+ 1]
-    (offsets -+1); its jump term reads AB[l + 1, 1], which stays 0.  b =
-    BB[0, 0] receives only from BB[1, 1], which stays 0, so its
-    coefficients are all 0.  x's sub- and superdiagonal are padded with a
-    zero at the Fock cutoff, which stops every term at a segment edge: each
-    c_d is zero wherever p + d leaves the segment of p.
+    On S, H = n' - k x' and C = c' with n' = (0, ..., N - 1, 0), x' = x (+)
+    0 and c' = c (+) 0, so dR = -i (H R - R H) + gamma (c' R c'^dag - (n' R
+    + R n')/2).  Entry (l, r) meets itself (offset 0), (l -+ 1, r) through
+    x on the left (offsets -+(N + 1)), (l, r -+ 1) through x on the right
+    (offsets -+1) and (l + 1, r + 1) through the jump (offset N + 2).  x''s
+    sub- and superdiagonal are padded with a zero at each end, which stops
+    every term at the edge of R: each c_d is zero wherever p + d is not a
+    neighbour of p in R.
     Returns {d: c_d} with (L v)[p] = sum_d c_d[p] v[p + d].
     """
-    x = position_quadrature(dim)                                  # real symmetric
-    up = np.append(np.diagonal(x, 1), 0)                          # x[l, l + 1] = c[l, l + 1]
-    down = np.insert(np.diagonal(x, -1), 0, 0)                    # x[l, l - 1]
-    n = np.arange(dim)
-    left_down, left_up = 1j * k * down, 1j * k * up               # x on the left
-    own = -1j * (n[:, None] - n) - gamma * (n[:, None] + n) / 2   # v's is AA's column 0
-    diagonals = {                                                 # d: (on AA, on v)
-        -dim: (left_down[:, None], 0),
-        -1: (-1j * k * down, left_down),
-        0: (own, own[:, 0]),
-        1: (-1j * k * up, left_up),
-        dim: (left_up[:, None], 0),
-        dim + 1: (gamma * (up[:, None] * up), 0),                 # c[l, l+1] c[r, r+1]
+    x = np.pad(position_quadrature(dim), (0, 1))                  # x', real symmetric
+    up = np.append(np.diagonal(x, 1), 0)                          # x'[l, l + 1] = c'[l, l + 1]
+    down = np.insert(np.diagonal(x, -1), 0, 0)                    # x'[l, l - 1]
+    n = np.append(np.arange(dim), 0)
+    side = dim + 1
+    diagonals = {
+        -side: 1j * k * down[:, None],                            # x on the left
+        -1: -1j * k * down,                                       # x on the right
+        0: -1j * (n[:, None] - n) - gamma * (n[:, None] + n) / 2,
+        1: -1j * k * up,
+        side: 1j * k * up[:, None],
+        side + 1: gamma * (up[:, None] * up),                     # c'[l, l+1] c'[r, r+1]
     }
-    return {d: np.concatenate([np.broadcast_to(aa, (dim, dim)).ravel(), np.broadcast_to(v, dim), [0]])
-            .astype(complex) for d, (aa, v) in diagonals.items()}
+    return {d: np.broadcast_to(c, (side, side)).astype(complex).ravel() for d, c in diagonals.items()}
 
 
 def _product(diagonals: dict[int, np.ndarray]):
@@ -140,30 +133,27 @@ def _product(diagonals: dict[int, np.ndarray]):
 
 
 def _initial_state(dim: int, theta: float) -> np.ndarray:
-    """The state vector [AA.ravel(), v, b] of |psi><psi|, the photon split
-    over both arms (arm-A phase e^{i theta}) and the mirror in vacuum: psi
-    = (a|A> + b|B>) (x) |0> with a = e^{i theta} / sqrt(2) and b =
-    1 / sqrt(2).  Its only non-zero entries are AA[0, 0] = a a*, v[0] =
-    a b* and b b*, each the product that |psi><psi| forms; a a* keeps only
-    its real part, as the Hermitian part of |psi><psi| does (the product
-    rounds to an imaginary part of about 1e-17 at theta != 0)."""
-    a, b = np.exp(1j * theta) / np.sqrt(2), 1 / np.sqrt(2)
-    state = np.zeros(dim * dim + dim + 1, dtype=complex)
-    state[[0, dim * dim, -1]] = np.array([a, a, b]) * np.conj([a, b, b])
-    state[0] = state[0].real
-    return state
+    """R.ravel() of |psi><psi|, the photon split over both arms (arm-A
+    phase e^{i theta}) and the mirror in vacuum: psi = a e_0 + b e_N on S
+    with a = e^{i theta} / sqrt(2) and b = 1 / sqrt(2).  R[0, 0] = a a*
+    keeps only its real part, as the Hermitian part of |psi><psi| does (the
+    product rounds to an imaginary part of about 1e-17 at theta != 0)."""
+    psi = np.zeros(dim + 1, dtype=complex)
+    psi[[0, -1]] = np.exp(1j * theta) / np.sqrt(2), 1 / np.sqrt(2)
+    state = np.outer(psi, psi.conj())
+    state[0, 0] = state[0, 0].real
+    return state.ravel()
 
 
 def _shift(generator: dict[int, np.ndarray]):
     """The trace shift mu, the diagonals of L - mu I, and its exact 1-norm:
     the largest column sum of the shifted |c_d|, each column summed in row
-    order.  mu is the mean of AA's N^2 entries of the 0-diagonal, the real
-    -gamma (N - 1) / 2, summed exactly so that no rounding of the sum
-    moves it; the mean over the whole vector would be complex, as v's
-    entries are -i l - gamma l / 2."""
+    order.  mu is the mean of the 0-diagonal over R's leading N x N block
+    (arm A), the real -gamma (N - 1) / 2, summed exactly so that no
+    rounding of the sum moves it."""
     n = generator[0].size
-    squares = math.isqrt(n) ** 2                                  # N^2 < n < (N + 1)^2
-    mu = math.fsum(generator[0][:squares].real) / squares
+    side = math.isqrt(n)
+    mu = math.fsum(generator[0].reshape(side, side)[:-1, :-1].real.ravel()) / (side - 1) ** 2
     shifted = {**generator, 0: generator[0] - mu}
     column_sums = np.zeros(n)
     for d in sorted(shifted, reverse=True):
@@ -172,57 +162,43 @@ def _shift(generator: dict[int, np.ndarray]):
     return mu, shifted, column_sums.max()
 
 
-def _bordered(states: np.ndarray) -> np.ndarray:
-    """[[AA, v], [v^dag, b]] of each state vector (row) of ``states``: the
-    joint rho on its first N + 1 rows and columns, where it is non-zero."""
-    dim = math.isqrt(states.shape[1])
-    bordered = np.empty((len(states), dim + 1, dim + 1), dtype=complex)
-    bordered[:, :dim, :dim] = states[:, :dim * dim].reshape(-1, dim, dim)
-    bordered[:, :, dim] = states[:, dim * dim:]
-    bordered[:, dim, :dim] = states[:, dim * dim:-1].conj()
-    return bordered
-
-
 def _joint(states: np.ndarray) -> np.ndarray:
-    """The 2N x 2N joint rho of each state vector (row) of ``states``:
-    :func:`_bordered`, padded with zeros."""
-    pad = math.isqrt(states.shape[1]) - 1
-    return np.pad(_bordered(states), ((0, 0), (0, pad), (0, pad)))
+    """The 2N x 2N joint rho of each R.ravel() (row) of ``states``: R,
+    padded with zeros."""
+    side = math.isqrt(states.shape[1])
+    return np.pad(states.reshape(-1, side, side), ((0, 0), (0, side - 2), (0, side - 2)))
 
 
 def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
-    """Check the Hermiticity of AA and the trace tr AA + b of each state
-    vector of ``chunk`` (rows, N^2 + N + 1) in turn, raising StepUnstable
-    for the first state past a limit (Hermiticity first), then symmetrize
-    AA in place and record the extremes in ``stats`` (the deviations seen
-    before symmetrizing, the joint rho's least eigenvalue).  v is not
-    checked, and b is real by construction.  The joint rho's spectrum is
-    that of :func:`_bordered` and N - 1 zeros, so the eigenvalues come from
-    the (N + 1)^2 matrices."""
-    dim = math.isqrt(chunk.shape[1])
-    aa = chunk[:, :dim * dim].reshape(-1, dim, dim)               # a view: symmetrized in place
-    adjoint = aa.conj().swapaxes(-1, -2)
-    deviations = np.abs(aa - adjoint).max(axis=(1, 2))
-    drifts = np.abs(np.trace(aa, axis1=1, axis2=2).real + chunk[:, -1].real - 1.0)
+    """Check the Hermiticity and the trace of each R of ``chunk`` (rows,
+    (N + 1)^2) in turn, raising StepUnstable for the first state past a
+    limit (Hermiticity first), then symmetrize R in place and record the
+    extremes in ``stats`` (the deviations seen before symmetrizing, the
+    least eigenvalue of R: the joint rho's spectrum is R's and N - 1
+    zeros)."""
+    side = math.isqrt(chunk.shape[1])
+    states = chunk.reshape(-1, side, side)                        # a view: symmetrized in place
+    adjoint = states.conj().swapaxes(-1, -2)
+    deviations = np.abs(states - adjoint).max(axis=(1, 2))
+    drifts = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     for deviation, trace_drift in zip(deviations, drifts):
         if deviation > _HERMITICITY_LIMIT:
             raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
         if trace_drift > _TRACE_DRIFT_LIMIT:
             raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
-    np.multiply(aa + adjoint, 0.5, out=aa)
+    np.multiply(states + adjoint, 0.5, out=states)
     if stats is not None:
         stats["trace_drift"] = max(stats.get("trace_drift", 0.0), drifts.max())
         stats["hermiticity_dev"] = max(stats.get("hermiticity_dev", 0.0), deviations.max())
-        min_eig = min(float(np.linalg.eigvalsh(_bordered(chunk))[:, 0].min()), 0.0)
+        min_eig = min(float(np.linalg.eigvalsh(states)[:, 0].min()), 0.0)
         stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
 
 
 def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | None):
     """Yield the states at the times of ``taus`` chunk by chunk, each
-    chunk a fresh (rows, N^2 + N + 1) array of state vectors [AA.ravel(),
-    v, b], from ``state`` at 0 under the generator L of (k, gamma), by
-    truncated Taylor series (algorithm 3.2 of Al-Mohy & Higham 2011) with
-    dense output.
+    chunk a fresh (rows, (N + 1)^2) array of state vectors R.ravel(), from
+    ``state`` at 0 under the generator L of (k, gamma), by truncated Taylor
+    series (algorithm 3.2 of Al-Mohy & Higham 2011) with dense output.
 
     The trace shift mu, the shifted diagonals and their 1-norm
     (:func:`_shift`) are taken once, and so is one buffer for the terms of
@@ -250,7 +226,7 @@ def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | No
         raise ValueError("snapshot times must be finite")
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
-    mu, shifted, norm = _shift(_block_generator(k, gamma, math.isqrt(state.size)))
+    mu, shifted, norm = _shift(_block_generator(k, gamma, math.isqrt(state.size) - 1))
     apply = _product(shifted)
     terms = np.empty((56, state.size), dtype=complex)  # rows touched only when used
     current, start = 0.0, 0
@@ -338,29 +314,25 @@ def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0
     return mirror, np.trace(mirror).real
 
 
-def _dark_port_traces(states: np.ndarray, shifts: np.ndarray, transposed: np.ndarray) -> np.ndarray:
-    """tr(M_theta O) for every e^{i theta} - 1 of ``shifts`` (axis 0), every
-    Hermitian O (axis 1, given as the stack of O^T) and every state vector
-    [AA.ravel(), v, b] of ``states`` (axis 2), M_theta being the
-    unnormalized dark-port mirror state of :func:`postselect_density`.
+def _dark_port_kernels(thetas, dim: int) -> np.ndarray:
+    """The ((N + 1)^2, 3 len(thetas)) matrix whose column 3 i + j turns a
+    state vector R.ravel() into tr(M_theta O_j), for theta = thetas[i] and
+    O_j = I, x, p, M_theta being the unnormalized dark-port mirror state of
+    :func:`postselect_density`.
 
-    With BA = AB^dag, tr(M_theta O) = tr(M_0 O) - Re((e^{i theta} - 1)
-    tr(AB O)), so two traces per operator serve every theta.  The near
-    cancellation of the dark port stays entry by entry in M_0 = (AA - AB
-    - AB^dag + BB) / 2, which is AA / 2 but in row and column 0, where AB =
-    v <0| and BB = b |0><0| sit; tr(AB O) = sum_l v[l] O[0, l].  Only the
-    small theta correction is taken after the sum.
+    M_theta = Q R Q^dag / 2 with Q = [I_N | -e^{-i theta} e_0], so
+    tr(M_theta O) = tr(R K) with K = Q^dag O Q / 2, and the column is
+    K^T.ravel().  K's corner O[0, 0] / 2 is written as it is, not as
+    |e^{-i theta}|^2 times it, so BB enters with the exact weight 1.
     """
-    dim = math.isqrt(states.shape[1])
-    v = states[:, dim * dim:-1]
-    m0 = states[:, :dim * dim].reshape(-1, dim, dim).copy()
-    m0[:, :, 0] -= v
-    m0[:, 0] -= v.conj()
-    m0[:, 0, 0] += states[:, -1]
-    m0 /= 2
-    unshifted = (transposed[:, None] * m0).sum(axis=(2, 3)).real
-    cross = (transposed[:, None, :, 0] * v).sum(axis=-1)
-    return unshifted - (shifts[:, None, None] * cross).real
+    operators = np.stack([np.eye(dim), position_quadrature(dim), momentum_quadrature(dim)])
+    phases = -np.exp(-1j * np.asarray(thetas, dtype=float))[:, None, None]
+    kernels = np.empty((len(phases), 3, dim + 1, dim + 1), dtype=complex)
+    kernels[..., :dim, :dim] = operators
+    kernels[..., :dim, dim] = phases * operators[..., 0]
+    kernels[..., dim, :dim] = phases.conj() * operators[..., 0, :]
+    kernels[..., dim, dim] = operators[..., 0, 0]
+    return (kernels.swapaxes(-1, -2) / 2).reshape(-1, (dim + 1) ** 2).T
 
 
 def oracle_sweeps(
@@ -374,10 +346,10 @@ def oracle_sweeps(
 
     theta enters only at postselection, so the group evolves once from the
     unshifted source: the truncated-Taylor propagator of :func:`_snapshots`
-    carries the state vector through the snapshot times chunk by chunk, and every
-    member takes its unnormalized probability and moments from the same
-    two traces per operator of each snapshot, one :func:`_dark_port_traces`
-    call per chunk.  Returns one
+    carries the state vector through the snapshot times chunk by chunk, and
+    one product of each chunk with the kernels of
+    :func:`_dark_port_kernels` gives every member's unnormalized
+    probability and moments.  Returns one
     (q, p, prob) triple of arrays per member; times where the dark-port
     probability is at the floor give NaN observables instead of raising.
     """
@@ -388,13 +360,13 @@ def oracle_sweeps(
         return []
     taus = np.asarray(taus, dtype=float)
     dim = config.fock_dim
-    transposed = np.stack([np.eye(dim), position_quadrature(dim).T, momentum_quadrature(dim).T])
-    shifts = np.expm1(1j * np.array([params.theta for params in group]))
-    traces = np.empty((len(group), 3, taus.size))
+    kernels = _dark_port_kernels([params.theta for params in group], dim)
+    traces = np.empty((taus.size, kernels.shape[1]))
     start = 0
     for chunk in _snapshots(group[0].k, group[0].gamma, taus, _initial_state(dim, 0.0), stats):
-        traces[..., start:start + len(chunk)] = _dark_port_traces(chunk, shifts, transposed)
+        traces[start:start + len(chunk)] = (chunk @ kernels).real
         start += len(chunk)
+    traces = traces.T.reshape(len(group), 3, taus.size)
     prob = traces[:, :1]
     moments = np.full_like(traces[:, 1:], np.nan)
     np.divide(traces[:, 1:], prob, out=moments, where=prob >= TRACE_FLOOR)

@@ -1,8 +1,11 @@
 """Command-line interface: flags, config files, outputs and exit codes."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +280,27 @@ def test_module_invocation(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "fig4.csv").exists()
+
+
+def test_output_digests_script_runs_every_command(tmp_path):
+    # the byte-identity comparisons between checkouts rest on this script
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "output_digests.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(set(lines)) == len(lines) == 60
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    printed = sorted(tmp_path.rglob("stdout.txt"))
+    assert len(printed) == 22
+    for stdout in printed:
+        assert stdout.read_text(encoding="utf-8").endswith("exit 0\n"), stdout
 
 
 def test_cli_import_leaves_out_scipy():

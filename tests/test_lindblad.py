@@ -1,4 +1,4 @@
-"""Master-equation oracle: the generator on the invariant set against the dense form,
+"""Master-equation oracle: the generator on the N + 1 occupied levels against the dense form,
 physicality along the flow, agreement with the exact undamped path and the
 damped closed forms, and the one propagator against two references it
 shares no code with (a dense Liouvillian exponential and expm_multiply)."""
@@ -18,7 +18,7 @@ from optoweak.lindblad import (
     _TAYLOR_TOL,
     _THETA_55,
     _block_generator,
-    _dark_port_traces,
+    _dark_port_kernels,
     _finalize,
     _initial_state,
     _joint,
@@ -51,10 +51,10 @@ def dense_step_propagators():
 
 
 def oracle_state(rho):
-    """The oracle's state vector [AA.ravel(), AB[:, 0], BB[0, 0]] of a joint
-    2N x 2N matrix: its first N + 1 rows and columns, BA[0, :] left out."""
+    """The oracle's state vector R.ravel() of a joint 2N x 2N matrix, R
+    being its first N + 1 rows and columns."""
     dim = rho.shape[0] // 2
-    return np.concatenate([rho[:dim, :dim].ravel(), rho[:dim + 1, dim]])
+    return rho[:dim + 1, :dim + 1].ravel()
 
 
 def random_invariant_state(seed, dim=8):
@@ -186,10 +186,14 @@ class TestGenerator:
         assert not liouvillian[:, kept[-1]].any()
         dense = liouvillian[np.ix_(kept, kept)]
         n = dense.shape[0]
-        assert n == dim * dim + dim + 1
-        # the trace shift is the real mean over AA's entries, -gamma (N - 1) / 2
-        # (the dense diagonal's imaginary parts carry the rounding of c^dag c)
-        dense_mu = np.diagonal(dense)[:dim * dim].real.mean()
+        assert n == (dim + 1) ** 2
+        # the trace shift is the real mean over R's leading N x N block (AA),
+        # -gamma (N - 1) / 2 (the dense diagonal's imaginary parts carry the
+        # rounding of c^dag c).  The mean over the whole diagonal is real too,
+        # but it moved the product count of 100 snapshots over 4 pi at k = 0.25,
+        # gamma = 0.05, Fock 32 from 878 to 879 and doubled the largest
+        # |oracle - closed form| of the dark-port probability on the Fock-32 grid
+        dense_mu = np.diagonal(dense).reshape(dim + 1, dim + 1)[:dim, :dim].real.mean()
         dense_norm = np.abs(dense - dense_mu * np.eye(n)).sum(axis=0).max()
         assert abs(mu - dense_mu) <= 1e-15 * abs(dense_mu)
         assert abs(norm - dense_norm) <= 1e-15 * dense_norm
@@ -272,23 +276,28 @@ class TestIntegrate:
     ], ids=["non-hermitian-aa", "trace-drift"])
     def test_chunk_check_raises_the_first_failing_snapshot(self, entry, message):
         chunk = np.stack([oracle_state(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
-        chunk[3, 16] += 1e-3                # AA[1, 0]: worse, in both checks, but later
+        chunk[3, 17] += 1e-3                # AA[1, 0]: worse, in both checks, but later
         chunk[3, -1] += 1e-3
-        chunk[4, 256:-1] += 1.0             # v = AB[:, 0] is neither checked nor changed
+        chunk[4, 16:-1:17] += 1.0           # v = AB[:, 0]: worse still, and later
         chunk[entry] += 2e-6
         with pytest.raises(StepUnstable, match=message):
             _finalize(chunk, {})
 
-    def test_chunk_check_symmetrizes_only_aa_and_bb(self):
-        # BB is b |0><0| with b real, which symmetrizing leaves as it is
+    def test_chunk_check_covers_the_arm_b_row(self):
+        # R[N, :N] = BA[0, :] evolves on its own; its check is against conj(v)
         chunk = np.stack([oracle_state(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
-        chunk[:, [1, 256]] += 1e-12         # AA[0, 1] and v[0]
+        chunk[2, 16 * 17:-1] += 1e-8
+        with pytest.raises(StepUnstable, match="Hermiticity deviation 1.000e-08"):
+            _finalize(chunk, {})
+
+    def test_chunk_check_symmetrizes_the_whole_state(self):
+        chunk = np.stack([oracle_state(rho) for rho in integrate_snapshots(ModelParams(k=K), VERIFY_TAUS[:6])])
+        chunk[:, [1, 16, 16 * 17]] += 1e-12     # AA[0, 1], v[0] and BA[0, 0]
         before = chunk.copy()
         _finalize(chunk, None)
-        assert np.array_equal(chunk[:, 256:], before[:, 256:])
-        assert not chunk[:, -1].imag.any()
-        aa = before[:, :256].reshape(-1, 16, 16)
-        assert np.array_equal(chunk[:, :256], ((aa + aa.conj().swapaxes(-1, -2)) / 2).reshape(-1, 256))
+        r = before.reshape(-1, 17, 17)
+        assert np.array_equal(chunk, ((r + r.conj().swapaxes(-1, -2)) / 2).reshape(-1, 17 * 17))
+        assert not np.diagonal(chunk.reshape(-1, 17, 17), axis1=1, axis2=2).imag.any()
 
     def test_stats_eigenvalue_is_that_of_the_joint_state(self):
         stats = {}
@@ -365,21 +374,20 @@ class TestPostselectDensity:
         assert prob_a == pytest.approx(prob_b, abs=1e-12)
         assert np.max(np.abs(mirror_a - mirror_b)) < 1e-12
 
-    def test_theta_affine_traces_match_postselect_density(self):
+    def test_dark_port_kernels_match_postselect_density(self):
         from optoweak.fockspace import momentum_quadrature, position_quadrature
 
         operators = [np.eye(16), position_quadrature(16), momentum_quadrature(16)]
-        transposed = np.stack([o.T for o in operators])
-        thetas = [0.0, 0.001, -0.001, 0.3]
-        shifts = np.expm1(1j * np.array(thetas))
+        thetas = [0.0, 0.001, -0.001, 0.3, np.pi]
+        kernels = _dark_port_kernels(thetas, 16)
+        assert kernels.shape == (17 * 17, len(thetas) * len(operators))
         for gamma in (0.0, 0.005):
             snapshots = integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS)
-            stacked = _dark_port_traces(np.stack([oracle_state(rho) for rho in snapshots]), shifts, transposed)
-            assert stacked.shape == (len(thetas), len(operators), len(snapshots))
-            for rho, traces in zip(snapshots, np.moveaxis(stacked, -1, 0)):
-                one = _dark_port_traces(oracle_state(rho)[None], shifts, transposed)[..., 0]
+            stacked = (np.stack([oracle_state(rho) for rho in snapshots]) @ kernels).real
+            for rho, traces in zip(snapshots, stacked):
+                one = (oracle_state(rho)[None] @ kernels).real[0]
                 assert np.max(np.abs(traces - one)) <= 1e-15
-                for theta, row in zip(thetas, traces):
+                for theta, row in zip(thetas, traces.reshape(len(thetas), len(operators))):
                     mirror, _ = postselect_density(rho, theta=theta)
                     reference = [np.trace(mirror @ o).real for o in operators]
                     assert np.max(np.abs(row - reference)) <= 1e-15
