@@ -4,23 +4,32 @@
 Runs each command of ``COMMANDS`` through ``optoweak.cli.main`` in its own
 subdirectory of OUT_DIR (the working directory, so relative default output
 names land there), keeps the printed lines and exit status as
-``stdout.txt`` beside its outputs, then prints one ``sha256  path``
-line per file, sorted by path, paths relative to OUT_DIR (best a fresh
-directory: every file under it is listed).
+``stdout.txt`` beside its outputs, then prints one ``# ...`` line naming
+the environment and one ``sha256  path`` line per file, sorted by path,
+paths relative to OUT_DIR (best a fresh directory: every file under it is
+listed).
 
 Two checkouts write the same bytes when this prints the same lines with
 ``PYTHONPATH`` pointing at each one's ``src``:
 
     PYTHONPATH=src python scripts/output_digests.py OUT_DIR
+
+``tests/output_digests.txt`` is this output as recorded; the tests compare
+against it in the environment its first line names.  A change that moves
+bytes rewrites it:
+
+    PYTHONPATH=src python scripts/output_digests.py "$(mktemp -d)" > tests/output_digests.txt
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
 from optoweak import cli
 from optoweak.fockspace import NAMED_STATES
 from optoweak.sweeps import FIGURE_NAMES
@@ -76,6 +85,19 @@ def run(out_dir: Path) -> None:
         (where / "stdout.txt").write_text(f"{printed.getvalue()}exit {status}\n", encoding="utf-8")
 
 
+def environment() -> str:
+    """Python, numpy with the SIMD extensions it found, and the BLAS numpy
+    names: the oracle's rows are BLAS products and its exponentials numpy's."""
+    versions = f"# Python {platform.python_version()}, numpy {np.__version__}"
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 prints its configuration only
+        return f"{versions}, BLAS unknown"
+    blas = config["Build Dependencies"]["blas"]
+    simd = " ".join(config["SIMD Extensions"]["found"])
+    return f"{versions} ({simd}), BLAS {blas['name']} {blas['version']}"
+
+
 def digests(out_dir: Path) -> list[str]:
     files = sorted(path for path in out_dir.rglob("*") if path.is_file())
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir)}"
@@ -87,7 +109,7 @@ def main() -> None:
         sys.exit("usage: output_digests.py OUT_DIR")
     out_dir = Path(sys.argv[1]).resolve()
     run(out_dir)
-    print("\n".join(digests(out_dir)))
+    print("\n".join([environment(), *digests(out_dir)]))
 
 
 if __name__ == "__main__":

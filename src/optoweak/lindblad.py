@@ -201,8 +201,8 @@ def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | No
     series (algorithm 3.2 of Al-Mohy & Higham 2011) with dense output.
 
     The trace shift mu, the shifted diagonals and their 1-norm
-    (:func:`_shift`) are taken once, and so is one buffer for the terms of
-    a substep.  Each chunk holds the times that one substep serves from the
+    (:func:`_shift`) are taken once, and so are one buffer for the terms of
+    a substep and one for the magnitudes behind each ||x||_inf.  Each chunk holds the times that one substep serves from the
     last snapshot, at c: every following t with (t - c) ||L - mu I||_1 <=
     theta_55 (at least one, so a longer gap is a chunk of its own).  Its
     last offset, the span, takes s = ceil(span ||L - mu I||_1 / theta_55)
@@ -229,6 +229,7 @@ def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | No
     mu, shifted, norm = _shift(_block_generator(k, gamma, math.isqrt(state.size) - 1))
     apply = _product(shifted)
     terms = np.empty((56, state.size), dtype=complex)  # rows touched only when used
+    magnitudes = np.empty(state.size)  # |x| of each infinity norm the stopping test takes
     current, start = 0.0, 0
     while start < taus.size:
         offsets = taus[start:] - current
@@ -245,17 +246,17 @@ def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | No
         for _ in range(s):
             term, total, used = state, state.copy(), 1
             terms[0] = state
-            c1 = bound = np.max(np.abs(state))
+            c1 = bound = np.abs(state, out=magnitudes).max()
             for j in range(m):
                 term = np.multiply(span / (s * (j + 1)), apply(term), out=terms[j + 1])
                 applications += 1
                 used = j + 2
-                c2 = np.max(np.abs(term))
+                c2 = np.abs(term, out=magnitudes).max()
                 total += term
                 bound += c2
                 # two terms below tolerance against B >= ||total||_inf, then against ||total||_inf
                 if (c1 + c2 <= _TAYLOR_TOL * (bound * _BOUND_SLACK)
-                        and c1 + c2 <= _TAYLOR_TOL * (bound := np.max(np.abs(total)))):
+                        and c1 + c2 <= _TAYLOR_TOL * (bound := np.abs(total, out=magnitudes).max())):
                     break
                 c1 = c2
             state = total

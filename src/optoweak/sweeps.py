@@ -218,6 +218,26 @@ def figure(name: str, out_dir) -> list[Path]:
     return written
 
 
+# json's spellings of the floats that float.__repr__ writes as nan, inf and -inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the encoder json.dumps(value, indent=2, sort_keys=True) builds on every call, built once
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+_COMPARED_KEYS = frozenset(("abs_diff", "analytic", "gamma", "k", "observable", "oracle", "tau",
+                            "theta"))
+# a compared point as json.dumps(indent=2, sort_keys=True) writes it in the report's list
+_COMPARED_POINT = ("    {{\n" + ",\n".join(f'      "{key}": {{}}' for key in sorted(_COMPARED_KEYS))
+                   + "\n    }}")
+
+
+def _json_value(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as it reads ``depth``
+    levels deep; a float is written as json writes it, without the encoder."""
+    if type(value) is float:
+        text = float.__repr__(value)
+        return _JSON_NON_FINITE.get(text, text)
+    return _JSON.encode(value).replace("\n", "\n" + "  " * depth)
+
+
 @dataclass
 class VerifyReport:
     points: list[dict]
@@ -226,13 +246,35 @@ class VerifyReport:
     passed: bool
 
     def to_json(self) -> str:
-        payload = {
-            "points": self.points,
-            "max_abs_diff": self.max_abs_diff,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """The bytes of ``json.dumps({"points", "max_abs_diff", "tolerance",
+        "pass"}, indent=2, sort_keys=True)``, written directly: a compared
+        point fills one template, and k, gamma, theta and tau, which repeat
+        over the points, are formatted once per distinct non-zero float
+        (0.0 == -0.0, so zeros are always formatted).  Any other point or
+        value goes through json."""
+        repeated: dict[float, str] = {}
+
+        def once(value):
+            if type(value) is not float or not value:
+                return _json_value(value, 3)
+            text = repeated.get(value)
+            if text is None:
+                text = repeated[value] = _json_value(value, 3)
+            return text
+
+        points = [
+            _COMPARED_POINT.format(
+                _json_value(point["abs_diff"], 3), _json_value(point["analytic"], 3),
+                once(point["gamma"]), once(point["k"]), _json_value(point["observable"], 3),
+                _json_value(point["oracle"], 3), once(point["tau"]), once(point["theta"]))
+            if isinstance(point, dict) and point.keys() == _COMPARED_KEYS
+            else "    " + _json_value(point, 2)
+            for point in self.points
+        ]
+        listed = "[\n" + ",\n".join(points) + "\n  ]" if points else "[]"
+        return (f'{{\n  "max_abs_diff": {_json_value(self.max_abs_diff, 1)},\n'
+                f'  "pass": {_json_value(self.passed, 1)},\n  "points": {listed},\n'
+                f'  "tolerance": {_json_value(self.tolerance, 1)}\n}}')
 
     def summary(self) -> str:
         """One line: verdict, largest difference, compared and error point counts."""

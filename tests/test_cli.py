@@ -282,25 +282,45 @@ def test_module_invocation(tmp_path):
     assert (tmp_path / "fig4.csv").exists()
 
 
-def test_output_digests_script_runs_every_command(tmp_path):
-    # the byte-identity comparisons between checkouts rest on this script
+@pytest.fixture(scope="module")
+def output_digests(tmp_path_factory):
+    """One run of scripts/output_digests.py: its printed lines and output directory."""
     root = Path(__file__).resolve().parents[1]
+    out_dir = tmp_path_factory.mktemp("digests")
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(root / "scripts" / "output_digests.py"), str(tmp_path)],
+        [sys.executable, str(root / "scripts" / "output_digests.py"), str(out_dir)],
         capture_output=True,
         text=True,
         timeout=300,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
+    return result.stdout.splitlines(), out_dir
+
+
+def test_output_digests_script_runs_every_command(output_digests):
+    # the byte-identity comparisons between checkouts rest on this script
+    lines, out_dir = output_digests
+    assert re.fullmatch(r"# Python \S+, numpy .+, BLAS .+", lines[0])
+    lines = lines[1:]
     assert len(set(lines)) == len(lines) == 60
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
-    printed = sorted(tmp_path.rglob("stdout.txt"))
+    printed = sorted(out_dir.rglob("stdout.txt"))
     assert len(printed) == 22
     for stdout in printed:
         assert stdout.read_text(encoding="utf-8").endswith("exit 0\n"), stdout
+
+
+def test_output_digests_match_the_recorded_ones(output_digests):
+    lines, _ = output_digests
+    recorded = (Path(__file__).parent / "output_digests.txt").read_text(encoding="utf-8")
+    recorded = recorded.splitlines()
+    if lines[0] != recorded[0]:
+        # the oracle's bytes follow the BLAS kernels and numpy's own SIMD paths
+        pytest.skip(f"digests recorded under {recorded[0][2:]!r}, "
+                    f"not compared under this run's {lines[0][2:]!r}")
+    assert lines == recorded, "output bytes moved: rewrite tests/output_digests.txt with them"
 
 
 def test_cli_import_leaves_out_scipy():

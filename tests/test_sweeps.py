@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optoweak import fockspace, lindblad, model
 from optoweak.fockspace import WignerGrid
@@ -19,6 +21,7 @@ from optoweak.sweeps import (
     LINE_FIGURES,
     SUCCESS_FLOOR,
     SweepConfig,
+    VerifyReport,
     default_verify_grid,
     emit_csv,
     _format_column,
@@ -599,3 +602,96 @@ class TestVerify:
         report = verify(grid=grid, config=IntegratorConfig(dt=5e-3, fock_dim=12), taus=taus)
         assert report.points == []
         assert not report.passed
+
+
+FLOAT_FIELDS = ("abs_diff", "analytic", "gamma", "k", "oracle", "tau", "theta")
+
+
+def compared_point(**changes):
+    point = {"k": K, "gamma": 0.005, "theta": -0.001, "observable": "q", "tau": 1.25,
+             "analytic": 0.123, "oracle": 0.1230000001, "abs_diff": 1.0000000827e-10}
+    return {**point, **changes}
+
+
+def assert_writes_the_json_bytes(report):
+    """to_json against the json.dumps reference, byte for byte, and read back."""
+    payload = {"points": report.points, "max_abs_diff": report.max_abs_diff,
+               "tolerance": report.tolerance, "pass": report.passed}
+    text = report.to_json()
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+
+
+# few distinct values, so that points share k, gamma, theta and tau
+report_floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, K, np.nan, np.inf, -np.inf]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+report_scalars = st.one_of(report_floats, report_floats.map(np.float64), st.integers(-2, 2),
+                           st.booleans(), st.none())
+compared_points = st.fixed_dictionaries(
+    {**{name: st.one_of(report_floats, report_floats, report_scalars) for name in FLOAT_FIELDS},
+     "observable": st.sampled_from(["q", "p"])})
+error_points = st.fixed_dictionaries({"k": report_scalars, "gamma": report_scalars,
+                                      "theta": report_scalars, "observable": st.text(max_size=3),
+                                      "error": st.text()})
+other_points = st.dictionaries(st.text(max_size=4), report_scalars, max_size=4)
+
+
+class TestReportJson:
+    def test_default_grid_report(self):
+        report = verify(config=IntegratorConfig(fock_dim=12), taus=np.linspace(0.0, 4 * np.pi, 7))
+        assert len(report.points) == 80
+        assert_writes_the_json_bytes(report)
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, -0.0],
+                             ids=["nan", "inf", "-inf", "-0.0"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_special_float_in_a_point(self, name, special):
+        # zeros of both signs before and after the special value, which repeats
+        values = (0.0, special, -0.0, special, 0.0, 1.0, -special)
+        report = VerifyReport(points=[compared_point(**{name: v}) for v in values],
+                              max_abs_diff=0.0, tolerance=1e-5, passed=True)
+        assert_writes_the_json_bytes(report)
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, -0.0, 0.0],
+                             ids=["nan", "inf", "-inf", "-0.0", "0.0"])
+    @pytest.mark.parametrize("name", ["max_abs_diff", "tolerance"])
+    def test_special_float_in_the_report(self, name, special):
+        fields = {"max_abs_diff": 1e-9, "tolerance": 1e-5, name: special}
+        assert_writes_the_json_bytes(VerifyReport(points=[compared_point()], passed=False, **fields))
+
+    @pytest.mark.parametrize("values", [
+        (1.0, 1, True, np.float64(1.0), 1.0, 1, True),
+        (True, 1, 1.0, True, np.float64(1.0), 1),
+        (0, False, 0.0, -0.0, np.float64(-0.0), 0, -0.0),
+    ], ids=["float-first", "bool-first", "zeros"])
+    @pytest.mark.parametrize("name", ["k", "gamma", "theta", "tau"])
+    def test_equal_values_of_other_types(self, name, values):
+        # 1.0 == 1 == True and 0.0 == -0.0 == 0 == False, each with its own spelling
+        report = VerifyReport(points=[compared_point(**{name: v}) for v in values],
+                              max_abs_diff=np.float64(2e-10), tolerance=1, passed=True)
+        assert_writes_the_json_bytes(report)
+
+    def test_error_and_other_points(self):
+        message = 'oracle said "no"\nsecond line, ünïcode ∆ ✓ \\ \t'
+        points = [
+            {"k": K, "gamma": 0.005, "theta": 0.0, "observable": "p/q", "error": message},
+            compared_point(),
+            {**compared_point(), "extra": None},
+            compared_point(tau=[1.0, -0.0, {"b": np.nan, "a": 2}], observable=None),
+            {},
+            [],
+        ]
+        assert_writes_the_json_bytes(VerifyReport(points=points, max_abs_diff=0.0,
+                                                  tolerance=1e-5, passed=False))
+
+    def test_empty_points(self):
+        assert_writes_the_json_bytes(VerifyReport(points=[], max_abs_diff=0.0, tolerance=1e-5,
+                                                  passed=False))
+
+    @given(points=st.lists(st.one_of(compared_points, compared_points, error_points, other_points),
+                          max_size=8),
+           max_abs_diff=report_scalars, tolerance=report_scalars, passed=st.booleans())
+    @settings(max_examples=50)
+    def test_mixed_reports(self, points, max_abs_diff, tolerance, passed):
+        assert_writes_the_json_bytes(VerifyReport(points=points, max_abs_diff=max_abs_diff,
+                                                  tolerance=tolerance, passed=passed))
