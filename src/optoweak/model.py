@@ -73,62 +73,28 @@ def kerr_phase(params: ModelParams, tau) -> float:
     return params.k**2 * (tau - np.sin(tau))
 
 
-def _decay(params: ModelParams, tau):
-    """tau as floats, mu = i + gamma/2 and em = 1 - e^{-mu tau}, the one
-    decaying exponential of the closed forms."""
-    tau = np.asarray(tau, dtype=float)
-    mu = 1j + params.gamma / 2
-    with np.errstate(over="ignore"):  # -mu tau past the float range: -inf, and e^{-inf} = 0
-        return tau, mu, 1.0 - np.exp(-mu * tau)
+def conditioned_state(params: ModelParams, tau) -> ConditionedMirrorState:
+    """Bundle of the conditioned-state ingredients at time tau, the one
+    evaluation of the closed form.
 
+    With mu = i + gamma/2 and em = 1 - e^{-mu tau}, the one decaying
+    exponential, the photon in arm A kicks the mirror to the coherent
+    amplitude
 
-def coherent_amplitude(params: ModelParams, tau) -> complex:
-    """Coherent amplitude of the mirror generated by one photon in arm A.
-
-    ik/(i + gamma/2) * (1 - exp(-(i + gamma/2) tau)); reduces to
-    k (1 - e^{-i tau}) for gamma = 0.
-    """
-    _, mu, em = _decay(params, tau)
-    return 1j * params.k / mu * em
-
-
-def _coherence_exponent(params: ModelParams, tau):
-    """Log of the ground-vs-displaced coherence factor of the joint state.
+        varphi = ik/mu * em,   k (1 - e^{-i tau}) at gamma = 0.
 
     The dark-port observables need the off-diagonal factor f with
     rho_AB = (1/2) f |varphi><0|.  Its exact log for a linearly driven,
     damped oscillator started in vacuum is
 
-        E = |varphi|^2 / 2 - (k^2/mu) tau + (k^2/mu^2)(1 - e^{-mu tau}),
-        mu = i + gamma/2,
+        E = |varphi|^2 / 2 - (k^2/mu) tau + (k^2/mu^2) em,
 
-    so the decoherence exponent is -Re E and the coherence phase is Im E.
-    """
-    tau, mu, em = _decay(params, tau)
-    alpha = 1j * params.k / mu * em
-    k2 = params.k**2
-    return np.abs(alpha) ** 2 / 2 - (k2 / mu) * tau + (k2 / mu**2) * em
-
-
-def coherence_phase(params: ModelParams, tau) -> float:
-    """Accumulated phase between the displaced and unkicked mirror branches.
-
-    Equals kerr_phase for gamma = 0; for gamma > 0 it carries the
-    damping correction required for agreement with the master-equation
-    oracle at conditional-amplification sensitivity.
-    """
-    if params.gamma == 0.0:
-        return kerr_phase(params, tau)
-    return np.imag(_coherence_exponent(params, tau))
-
-
-def decoherence_factor(params: ModelParams, tau) -> float:
-    """Damping-induced decoherence exponent D(gamma, tau) >= 0.
-
-    Evaluated term by term as
+    so the coherence phase is Im E (kerr_phase, k^2 (tau - sin tau), at
+    gamma = 0) and the decoherence exponent is D = -Re E (exactly 0 at
+    gamma = 0), evaluated term by term as
 
         D = k^2 gamma / (2 (1 + gamma^2/4)) * [ tau + (1 - e^{-gamma tau})/gamma
-            + conj(t) + t ],   t = (e^{-mu tau} - 1)/mu,  mu = i + gamma/2,
+            + conj(t) + t ],   t = (e^{-mu tau} - 1)/mu,
 
     whose oscillatory terms are added as an exact conjugate pair, so the
     sum is real by construction.  Each term is halved before the sum and
@@ -137,30 +103,31 @@ def decoherence_factor(params: ModelParams, tau) -> float:
     At tau << 1 the bracket cancels to O(tau^3) and rounding can leave it
     near -1e-19; it is clamped at 0, so the success probability built from
     it stays non-negative.
-    """
-    if params.gamma == 0.0:
-        return np.asarray(tau, dtype=float) * 0.0
-    tau, mu, em = _decay(params, tau)
-    gamma = params.gamma
-    prefactor = params.k**2 * gamma / (2 * (1 + gamma**2 / 4))
-    with np.errstate(over="ignore"):  # gamma tau past the float range: e^{-inf} = 0
-        t_relax = -np.expm1(-gamma * tau) / gamma
-    t = -em / mu
-    half = tau / 2 + t_relax / 2 + np.conj(t) / 2 + t / 2
-    return np.maximum(2 * (prefactor * np.real(half)), 0.0)
-
-
-def conditioned_state(params: ModelParams, tau) -> ConditionedMirrorState:
-    """Bundle of the conditioned-state ingredients at time tau.
 
     success_prob = (1/2) [1 - e^{-|varphi|^2/2 - D} cos(theta + phase)],
     evaluated in a cancellation-free arrangement.
     """
-    varphi = coherent_amplitude(params, tau)
-    dec = decoherence_factor(params, tau)
-    phase = coherence_phase(params, tau)
+    tau = np.asarray(tau, dtype=float)
+    k, gamma = params.k, params.gamma
+    mu = 1j + gamma / 2
+    with np.errstate(over="ignore"):  # -mu tau past the float range: -inf, and e^{-inf} = 0
+        em = 1.0 - np.exp(-mu * tau)
+    varphi = 1j * k / mu * em
+    half_norm = np.abs(varphi) ** 2 / 2
+    if gamma == 0.0:
+        phase = kerr_phase(params, tau)
+        dec = tau * 0.0
+    else:
+        k2 = k**2
+        phase = np.imag(half_norm - (k2 / mu) * tau + (k2 / mu**2) * em)
+        prefactor = k2 * gamma / (2 * (1 + gamma**2 / 4))
+        with np.errstate(over="ignore"):  # gamma tau past the float range: e^{-inf} = 0
+            t_relax = -np.expm1(-gamma * tau) / gamma
+        t = -em / mu
+        half = tau / 2 + t_relax / 2 + np.conj(t) / 2 + t / 2
+        dec = np.maximum(2 * (prefactor * np.real(half)), 0.0)
     total = params.theta + phase
-    s = np.abs(varphi) ** 2 / 2 + dec
+    s = half_norm + dec
     success = 0.5 * (-np.expm1(-s)) + np.exp(-s) * np.sin(total / 2) ** 2
     return ConditionedMirrorState(
         varphi=varphi,
@@ -169,6 +136,24 @@ def conditioned_state(params: ModelParams, tau) -> ConditionedMirrorState:
         decoherence=dec,
         success_prob=success,
     )
+
+
+def coherent_amplitude(params: ModelParams, tau) -> complex:
+    """Coherent amplitude varphi of the mirror kicked by one photon in arm A
+    (see :func:`conditioned_state`)."""
+    return conditioned_state(params, tau).varphi
+
+
+def coherence_phase(params: ModelParams, tau) -> float:
+    """Phase Im E between the displaced and unkicked mirror branches; kerr_phase
+    at gamma = 0 (see :func:`conditioned_state`)."""
+    return conditioned_state(params, tau).kerr_phase
+
+
+def decoherence_factor(params: ModelParams, tau) -> float:
+    """Damping-induced decoherence exponent D(gamma, tau) >= 0; exactly 0 at
+    gamma = 0 (see :func:`conditioned_state`)."""
+    return conditioned_state(params, tau).decoherence
 
 
 def conditioned_moments(params: ModelParams, tau):

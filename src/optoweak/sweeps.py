@@ -157,8 +157,7 @@ def emit_csv(result: SweepResult, path) -> Path:
 
 
 _AXIS_TAU = "&#969;<tspan baseline-shift=\"sub\" font-size=\"10\">m</tspan>t"
-_AXIS_Q = "&#10216;q&#10217;/&#963;"
-_AXIS_P = "&#10216;p&#10217;&#183;2&#963;/&#8463;"
+_AXIS = {"q": "&#10216;q&#10217;/&#963;", "p": "&#10216;p&#10217;&#183;2&#963;/&#8463;"}
 
 
 def emit_plot(data: SweepResult, path) -> Path:
@@ -166,10 +165,9 @@ def emit_plot(data: SweepResult, path) -> Path:
     (:func:`svg_heatmap` renders a WignerGrid).  Only ``data`` itself is
     drawn: its ``oracle_companion``, if any, is not."""
     series = []
-    if data.q is not None:
-        series.append((data.tau, data.q, _AXIS_Q, False))
-    if data.p is not None:
-        series.append((data.tau, data.p, _AXIS_P, data.q is not None))
+    for observable, column in (("q", data.q), ("p", data.p)):
+        if column is not None:
+            series.append((data.tau, column, _AXIS[observable], bool(series)))
     if not series:
         raise ValueError("sweep holds no observable columns to plot")
     # lazy: verify never draws, and importing svgplot without cached bytecode takes ~4 ms
@@ -214,7 +212,7 @@ def figure(name: str, out_dir) -> list[Path]:
         written.append(emit_csv(result, out / f"{stem}.csv"))
         series.append((result.tau, getattr(result, observable), f"&#947;={gamma:g}", bool(series)))
     written.append(svgplot.line_plot(series, out / f"{name}.svg", xlabel=_AXIS_TAU,
-                                     ylabel={"q": _AXIS_Q, "p": _AXIS_P}[observable]))
+                                     ylabel=_AXIS[observable]))
     return written
 
 
@@ -352,17 +350,12 @@ def verify(
         for obs, a_vals, o_vals in zip("qp", analytic, oracle[params]):
             if obs not in observables:
                 continue
-            for tau, a, o in zip(taus[live], a_vals[live], o_vals[live]):
-                points.append(
-                    {
-                        **base,
-                        "observable": obs,
-                        "tau": float(tau),
-                        "analytic": float(a),
-                        "oracle": float(o),
-                        "abs_diff": float(abs(a - o)),
-                    }
-                )
+            a_vals, o_vals = a_vals[live], o_vals[live]
+            columns = (taus[live], a_vals, o_vals, np.abs(a_vals - o_vals))
+            points.extend(
+                {**base, "observable": obs, "tau": tau, "analytic": a, "oracle": o, "abs_diff": d}
+                for tau, a, o, d in zip(*(column.tolist() for column in columns))
+            )
 
     diffs = [point["abs_diff"] for point in points if "error" not in point]
     max_abs_diff = float(np.max(diffs)) if diffs else 0.0  # np.max keeps a NaN

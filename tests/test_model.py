@@ -143,9 +143,14 @@ class TestCoherencePhase:
         assert np.allclose(coherence_phase(p, grid), kerr_phase(p, grid), atol=1e-15)
 
     def test_damped_value(self):
-        p = ModelParams(k=K, gamma=0.005)
-        expected = lf.literal_coherence_exponent(K, 0.005, 12.0).imag
-        assert coherence_phase(p, 12.0) == pytest.approx(expected, rel=1e-12)
+        # the grid of TestDecoherenceFactor::test_matches_exact_damped_coherence_log
+        points = [(K, 0.005, 12.0)] + [
+            (0.01, gamma, tau) for gamma in (0.005, 0.05, 0.2) for tau in (0.7, TWO_PI, 25.0)]
+        for k, gamma, tau in points:
+            expected = lf.literal_coherence_exponent(k, gamma, tau).imag
+            value = coherence_phase(ModelParams(k=k, gamma=gamma), tau)
+            # abs=0: approx's default abs=1e-12 would exceed rel * |phase| at every point
+            assert value == pytest.approx(expected, rel=1e-12, abs=0), (k, gamma, tau)
 
 
 class TestConditionedState:
@@ -168,10 +173,19 @@ class TestConditionedState:
         )
 
     def test_bundles_are_consistent(self):
-        p = ModelParams(k=K, gamma=0.005, theta=0.001)
-        st1 = conditioned_state(p, 5.0)
-        assert st1.total_phase == pytest.approx(p.theta + st1.kerr_phase, rel=1e-15)
-        assert st1.decoherence == pytest.approx(decoherence_factor(p, 5.0), rel=1e-15)
+        # each view is one field of one conditioned_state call, bit for bit,
+        # a numpy scalar for a scalar tau and an array for an array tau
+        for gamma in (0.0, 0.005):
+            p = ModelParams(k=K, gamma=gamma, theta=0.001)
+            for tau, kind in ((5.0, np.generic), (np.linspace(0.0, 4 * np.pi, 9), np.ndarray)):
+                st1 = conditioned_state(p, tau)
+                assert st1.total_phase == pytest.approx(p.theta + st1.kerr_phase, rel=1e-15)
+                for view, field in ((coherent_amplitude, st1.varphi),
+                                    (coherence_phase, st1.kerr_phase),
+                                    (decoherence_factor, st1.decoherence)):
+                    value = view(p, tau)
+                    assert np.array_equal(value, field), (view.__name__, gamma, tau)
+                    assert isinstance(value, kind), (view.__name__, gamma, type(value))
 
     @given(k=ks, gamma=gammas, theta=thetas, tau=taus)
     @example(k=0.25, gamma=0.125, theta=0.0, tau=1e-14)  # bracket rounds below 0
