@@ -65,6 +65,8 @@ COMMANDS = {
     "sweep-long-gap": ["sweep", "--engine", "both", "--observable", "both", "--k", "0.01",
                        "--gamma", "0.01", "--theta", "0.001", "--tau-start", "6.2", "--tau-end", "19",
                        "--steps", "2"],
+    # a table of several CSV write blocks, with empty q and p fields where P = 0 at tau = 0
+    "sweep-long": ["sweep", "--observable", "both", "--steps", "9000"],
     "sweep-defaults": ["sweep"],
     "wigner-defaults": ["wigner"],
 }

@@ -304,10 +304,10 @@ def test_output_digests_script_runs_every_command(output_digests):
     lines, out_dir = output_digests
     assert re.fullmatch(r"# Python \S+, numpy .+, BLAS .+", lines[0])
     lines = lines[1:]
-    assert len(set(lines)) == len(lines) == 60
+    assert len(set(lines)) == len(lines) == 62
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     printed = sorted(out_dir.rglob("stdout.txt"))
-    assert len(printed) == 22
+    assert len(printed) == 23
     for stdout in printed:
         assert stdout.read_text(encoding="utf-8").endswith("exit 0\n"), stdout
 
