@@ -7,6 +7,7 @@ instead of being drawn at zero.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _POS_COLOR = (178, 24, 43)    # strong red
 _NEG_COLOR = (33, 102, 172)   # strong blue
-_HEX = [f"{i:02x}" for i in range(256)]
 _WIDTH, _HEIGHT = 660, 460
 _ML, _MR, _MT, _MB = 78, 24, 28, 56
 _HEAD = (
@@ -29,10 +29,25 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _write_svg(body: list[str], path) -> Path:
-    """Write ``body`` elements between the document head and ``</svg>``."""
+# "x,y" of one polyline point in _fmt's format, for one % per run of points
+_POINT = "%.6g,%.6g"
+
+
+def _write_svg(chunks, path) -> Path:
+    """Write the document head, each of ``chunks`` on lines of its own, and
+    ``</svg>``.
+
+    A chunk is one element, or several joined by newlines.  Each is written
+    as the iterable yields it, so a body built row by row (the heatmap's
+    cells) is never held whole.
+    """
     path = Path(path)
-    path.write_text("\n".join([_HEAD, *body, "</svg>"]) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(_HEAD)
+        for chunk in chunks:
+            out.write("\n")
+            out.write(chunk)
+        out.write("\n</svg>\n")
     return path
 
 
@@ -111,17 +126,18 @@ def line_plot(series, path, xlabel: str = "", ylabel: str = "", title: str = "")
     for i, ((xs, ys, label, dashed), ok) in enumerate(zip(series, masks)):
         color = _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="7,4"' if dashed else ""
-        px = (_ML + (xs - x0) / (x1 - x0) * plot_w).tolist()
-        py = (_MT + (1 - (ys - y0) / (y1 - y0)) * plot_h).tolist()
+        # (px, py) pairs, interleaved for the % template
+        pxy = np.column_stack((_ML + (xs - x0) / (x1 - x0) * plot_w,
+                               _MT + (1 - (ys - y0) / (y1 - y0)) * plot_h))
         edges = np.flatnonzero(np.diff(ok, prepend=False, append=False)).tolist()
         for start, end in zip(edges[::2], edges[1::2]):
-            run = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px[start:end], py[start:end])]
-            if len(run) == 1:
-                cx, cy = run[0].split(",")
+            points = " ".join([_POINT] * (end - start)) % tuple(pxy[start:end].ravel().tolist())
+            if end - start == 1:
+                cx, cy = points.split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
             else:
                 parts.append(
-                    f'<polyline points="{" ".join(run)}" fill="none" '
+                    f'<polyline points="{points}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"{dash}/>'
                 )
         ly = _MT + 16 + 18 * i
@@ -137,14 +153,19 @@ def line_plot(series, path, xlabel: str = "", ylabel: str = "", title: str = "")
 
 def _diverging_colors(values, vmax: float) -> list[str]:
     """Hex colours of ``values``: white at zero, saturating toward red
-    (positive) or blue (negative) at |v| = vmax."""
+    (positive) or blue (negative) at |v| = vmax.
+
+    Each distinct colour is formatted once, and every value of that colour
+    shares its string: the fig3 grid has 576 colours over 40 401 cells.
+    """
     if vmax <= 0:
         vmax = 1.0
     t = np.clip(np.asarray(values, dtype=float) / vmax, -1.0, 1.0)
     target = np.where((t >= 0)[:, None], _POS_COLOR, _NEG_COLOR)
     # np.rint, like round, takes halves to even
-    rgb = np.rint(255 + (target - 255) * np.abs(t)[:, None]).astype(int).tolist()
-    return [f"#{_HEX[r]}{_HEX[g]}{_HEX[b]}" for r, g, b in rgb]
+    rgb = np.rint(255 + (target - 255) * np.abs(t)[:, None]).astype(np.int64)
+    codes, at = np.unique(rgb @ [1 << 16, 1 << 8, 1], return_inverse=True)
+    return np.array([f"#{code:06x}" for code in codes.tolist()], dtype=object)[at].tolist()
 
 
 def heatmap(values, xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") -> Path:
@@ -166,13 +187,14 @@ def heatmap(values, xs, ys, path, xlabel: str = "", ylabel: str = "", title: str
     px = [_fmt(_ML + ix / nx * plot_w) for ix in range(nx)]
     size = f'width="{_fmt(plot_w / nx + 0.5)}" height="{_fmt(plot_h / ny + 0.5)}"'
     colors = _diverging_colors(values.ravel(), vmax)
+
+    def cells():  # one chunk per grid row, formed only when _write_svg reaches it
+        for iy in range(ny):
+            py = _fmt(_MT + (1 - (iy + 1) / ny) * plot_h)
+            yield "\n".join([f'<rect x="{x}" y="{py}" {size} fill="{color}"/>'
+                             for x, color in zip(px, colors[iy * nx:(iy + 1) * nx])])
+
     parts: list[str] = []
-    for iy in range(ny):
-        py = _fmt(_MT + (1 - (iy + 1) / ny) * plot_h)
-        parts += [
-            f'<rect x="{x}" y="{py}" {size} fill="{color}"/>'
-            for x, color in zip(px, colors[iy * nx:(iy + 1) * nx])
-        ]
     _frame(parts, x0, x1, y0, y1, xlabel, ylabel, title, plot_w, plot_h)
 
     bar_x = _ML + plot_w + 18
@@ -189,4 +211,4 @@ def heatmap(values, xs, ys, path, xlabel: str = "", ylabel: str = "", title: str
         parts.append(
             f'<text x="{bar_x + 20}" y="{_fmt(py + 4)}" font-size="11">{_fmt(v)}</text>'
         )
-    return _write_svg(parts, path)
+    return _write_svg(chain(cells(), parts), path)

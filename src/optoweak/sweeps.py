@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,8 @@ OBSERVABLES = ("q", "p", "both")
 ENGINES = ("analytic", "oracle", "both")
 
 CSV_HEADER = "tau,q_over_sigma,p_dimensionless,success_prob"
+# rows joined per write: a 40 401-row fig3 table goes out in ten blocks, a 4000-row sweep in one
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,14 @@ def run_sweep(config: SweepConfig,
 
 def _format_column(column) -> list[str]:
     """CSV fields of one numeric column: 17 significant digits, "-0" beside
-    "0", and an empty field for a non-finite value."""
-    return [f"{v:.17g}" if math.isfinite(v) else ""
-            for v in np.asarray(column, dtype=np.float64).tolist()]
+    "0", and an empty field for a non-finite value.  Every value is
+    formatted, then the fields that one ``np.isfinite`` mask marks are
+    blanked."""
+    values = np.asarray(column, dtype=np.float64)
+    fields = [f"{v:.17g}" for v in values.tolist()]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        fields[i] = ""
+    return fields
 
 
 def _format_repeating(column) -> list[str]:
@@ -135,10 +143,26 @@ def _format_repeating(column) -> list[str]:
 
 
 def _write_csv(path, header: str, columns) -> Path:
-    """Write equal-length ``columns`` of CSV fields as rows under ``header``;
-    output is byte-stable for identical inputs."""
+    """Write ``columns`` of CSV fields as rows under ``header``; output is
+    byte-stable for identical inputs.
+
+    Raises ValueError, before the file is opened, when the columns differ in
+    length.  Rows are joined and written ``_CSV_BLOCK_ROWS`` at a time, so
+    the whole document is never held as one string.
+    """
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    rows = map(",".join, zip(*columns))
     path = Path(path)
-    path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(header)
+        # join takes the block straight from islice, so only its string is
+        # alive while the file encodes it
+        for _ in range(0, max(lengths, default=0), _CSV_BLOCK_ROWS):
+            out.write("\n")
+            out.write("\n".join(islice(rows, _CSV_BLOCK_ROWS)))
+        out.write("\n")
     return path
 
 
@@ -196,9 +220,11 @@ def figure(name: str, out_dir) -> list[Path]:
     if name == "fig3":
         # the named kets live on |0> and |1>; wigner's displacement elements need no cutoff
         grid = fockspace.wigner(fockspace.named_state(FIG3_STATE, 2), FIG3_RANGE, FIG3_RANGE)
-        # a grid symmetric about the origin: the axes and W repeat values
-        columns = [np.tile(grid.xs(), grid.ny), np.repeat(grid.ys(), grid.nx), grid.values.ravel()]
-        columns = [_format_repeating(column) for column in columns]
+        # x runs fastest: each axis value is formatted once and its field
+        # repeated; W, symmetric about the origin, repeats values too
+        xs, ys = _format_column(grid.xs()), _format_column(grid.ys())
+        columns = [xs * grid.ny, [y for y in ys for _ in range(grid.nx)],
+                   _format_repeating(grid.values.ravel())]
         return [_write_csv(out / "fig3.csv", "x,y,wigner", columns),
                 svg_heatmap(grid, out / "fig3.svg", title="Wigner function, (|0&#10217;-|1&#10217;)/&#8730;2")]
 

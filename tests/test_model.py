@@ -65,12 +65,12 @@ class TestKerrPhase:
 
     def test_full_period(self):
         assert kerr_phase(ModelParams(k=K), TWO_PI) == pytest.approx(
-            TWO_PI * 2.5e-5, rel=1e-12
+            TWO_PI * 2.5e-5, rel=1e-12, abs=0
         )
 
     def test_half_period(self):
         assert kerr_phase(ModelParams(k=0.1), np.pi) == pytest.approx(
-            0.01 * np.pi, rel=1e-12
+            0.01 * np.pi, rel=1e-12, abs=0
         )
 
     @given(k=ks, t1=taus, t2=taus)
@@ -115,21 +115,21 @@ class TestDecoherenceFactor:
         # scripted term-by-term complex evaluation, cross-checked against the
         # damped-coherence derivation and the master-equation integrator
         value = decoherence_factor(ModelParams(k=0.005, gamma=0.005), TWO_PI)
-        assert value == pytest.approx(7.7928401200750325e-7, rel=1e-12)
+        assert value == pytest.approx(7.7928401200750325e-7, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "k,gamma,tau", [(0.005, 0.005, 1.0), (0.005, 0.02, 12.3), (0.1, 0.15, 40.0)]
     )
     def test_matches_high_precision_transcription(self, k, gamma, tau):
         value = decoherence_factor(ModelParams(k=k, gamma=gamma), tau)
-        assert value == pytest.approx(lf.literal_decoherence(k, gamma, tau), rel=1e-11)
+        assert value == pytest.approx(lf.literal_decoherence(k, gamma, tau), rel=1e-11, abs=0)
 
     def test_matches_exact_damped_coherence_log(self):
         for gamma in (0.005, 0.05, 0.2):
             p = ModelParams(k=0.01, gamma=gamma)
             for tau in (0.7, TWO_PI, 25.0):
                 exact = -lf.literal_coherence_exponent(p.k, gamma, tau).real
-                assert decoherence_factor(p, tau) == pytest.approx(exact, rel=1e-11)
+                assert decoherence_factor(p, tau) == pytest.approx(exact, rel=1e-11, abs=0)
 
     @given(k=ks, gamma=gammas, tau=taus)
     def test_non_negative(self, k, gamma, tau):
@@ -162,14 +162,14 @@ class TestConditionedState:
 
     def test_shifter_opens_dark_port_at_start(self):
         st0 = conditioned_state(ModelParams(k=K, theta=0.001), 0.0)
-        assert st0.success_prob == pytest.approx(np.sin(0.0005) ** 2, rel=1e-12)
+        assert st0.success_prob == pytest.approx(np.sin(0.0005) ** 2, rel=1e-12, abs=0)
 
     def test_success_at_displacement_extremum(self):
         # trace of the conditioned state at the first extremum time
         st1 = conditioned_state(ModelParams(k=K), TWO_PI * (1 + K))
-        assert st1.success_prob == pytest.approx(1.2336508198497246e-8, rel=1e-9)
+        assert st1.success_prob == pytest.approx(1.2336508198497246e-8, rel=1e-9, abs=0)
         assert st1.success_prob == pytest.approx(
-            lf.literal_success(K, 0.0, TWO_PI * (1 + K)), rel=1e-12
+            lf.literal_success(K, 0.0, TWO_PI * (1 + K)), rel=1e-12, abs=0
         )
 
     def test_bundles_are_consistent(self):
@@ -179,7 +179,7 @@ class TestConditionedState:
             p = ModelParams(k=K, gamma=gamma, theta=0.001)
             for tau, kind in ((5.0, np.generic), (np.linspace(0.0, 4 * np.pi, 9), np.ndarray)):
                 st1 = conditioned_state(p, tau)
-                assert st1.total_phase == pytest.approx(p.theta + st1.kerr_phase, rel=1e-15)
+                assert st1.total_phase == pytest.approx(p.theta + st1.kerr_phase, rel=1e-15, abs=0)
                 for view, field in ((coherent_amplitude, st1.varphi),
                                     (coherence_phase, st1.kerr_phase),
                                     (decoherence_factor, st1.decoherence)):
@@ -231,8 +231,8 @@ class TestConditionedMoments:
             warnings.simplefilter("error")
             q, mom, prob = conditioned_moments(p, np.array([1e300]))
         mu_squared = 1 + p.gamma**2 / 4
-        assert q[0] == pytest.approx(K / mu_squared, rel=1e-12)
-        assert mom[0] == pytest.approx(K * p.gamma / 2 / mu_squared, rel=1e-12)
+        assert q[0] == pytest.approx(K / mu_squared, rel=1e-12, abs=0)
+        assert mom[0] == pytest.approx(K * p.gamma / 2 / mu_squared, rel=1e-12, abs=0)
         assert prob[0] == 0.5
         # gamma tau = 8.5 with tau near the float maximum: tau + (1 - e^{-gamma tau})/gamma
         # alone passes it; D from a 50-digit evaluation of the bracket
@@ -240,24 +240,24 @@ class TestConditionedMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d = decoherence_factor(tiny, np.array([1.7e308]))
-        assert d[0] == pytest.approx(1.1874745664538736e-4, rel=1e-9)
+        assert d[0] == pytest.approx(1.1874745664538736e-4, rel=1e-9, abs=0)
 
 class TestMeanQ:
     @pytest.mark.parametrize("tau", [0.31, 2.0, np.pi, 6.2, 11.7])
     @pytest.mark.parametrize("theta", [0.0, 0.001, -0.001])
     def test_matches_high_precision_transcription(self, tau, theta):
         value = mean_q(ModelParams(k=K, theta=theta), tau)
-        assert value == pytest.approx(lf.literal_mean_q(K, theta, tau), rel=1e-11)
+        assert value == pytest.approx(lf.literal_mean_q(K, theta, tau), rel=1e-11, abs=0)
 
     def test_shifter_extremum_near_start(self):
         assert mean_q(ModelParams(k=K, theta=0.001), 0.2) == pytest.approx(
-            0.99510215, rel=1e-6
+            0.99510215, rel=1e-6, abs=0
         )
 
     def test_first_period_extrema(self):
         p = ModelParams(k=K)
-        assert mean_q(p, TWO_PI * (1 + K)) == pytest.approx(1.0, rel=0.02)
-        assert mean_q(p, TWO_PI * (1 - K)) == pytest.approx(-1.0, rel=0.02)
+        assert mean_q(p, TWO_PI * (1 + K)) == pytest.approx(1.0, rel=0.02, abs=0)
+        assert mean_q(p, TWO_PI * (1 - K)) == pytest.approx(-1.0, rel=0.02, abs=0)
 
     def test_damping_shrinks_the_extremes(self):
         grid = np.linspace(1e-3, 4 * np.pi, 20001)
@@ -323,19 +323,19 @@ class TestMeanP:
 class TestSmallTimeExpansion:
     def test_coefficients_at_period(self):
         c0, c1 = approx_state_coeffs(ModelParams(k=K), TWO_PI, 1)
-        assert c0 == pytest.approx(1j * K**2 * TWO_PI, rel=1e-12)
+        assert c0 == pytest.approx(1j * K**2 * TWO_PI, rel=1e-12, abs=0)
         assert c1 == pytest.approx(0j, abs=1e-18)
 
     def test_equal_superposition_condition(self):
         tau = TWO_PI * (1 + K)
         c0, c1 = approx_state_coeffs(ModelParams(k=K), tau, 1)
-        assert c0 == pytest.approx(1.5707963267948966e-4j, rel=1e-12)
-        assert c1 == pytest.approx(c0, rel=1e-12)
+        assert c0 == pytest.approx(1.5707963267948966e-4j, rel=1e-12, abs=0)
+        assert c1 == pytest.approx(c0, rel=1e-12, abs=0)
 
     def test_shifter_coefficients_near_start(self):
         c0, c1 = approx_state_coeffs(ModelParams(k=K, theta=0.001), 0.2, 0)
-        assert c0 == pytest.approx(1e-3j, rel=1e-12)
-        assert c1 == pytest.approx(1e-3j, rel=1e-12)
+        assert c0 == pytest.approx(1e-3j, rel=1e-12, abs=0)
+        assert c1 == pytest.approx(1e-3j, rel=1e-12, abs=0)
 
     def test_negative_order_rejected(self):
         # and a non-integral one: 0.5 would expand about T = pi, where no period ends
@@ -348,8 +348,8 @@ class TestSmallTimeExpansion:
 
     def test_displacement_extremes_are_unit(self):
         p = ModelParams(k=K)
-        assert approx_mean_q(p, TWO_PI * (1 + K), 1) == pytest.approx(1.0, rel=1e-12)
-        assert approx_mean_q(p, TWO_PI * (1 - K), 1) == pytest.approx(-1.0, rel=1e-12)
+        assert approx_mean_q(p, TWO_PI * (1 + K), 1) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert approx_mean_q(p, TWO_PI * (1 - K), 1) == pytest.approx(-1.0, rel=1e-12, abs=0)
 
     def test_vanishing_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optoweak import fockspace, lindblad, model
+from optoweak import fockspace, lindblad, model, sweeps
 from optoweak.fockspace import WignerGrid
 from optoweak.lindblad import IntegratorConfig, StepUnstable
 from optoweak.model import ModelParams
@@ -21,6 +21,7 @@ from optoweak.sweeps import (
     LINE_FIGURES,
     SUCCESS_FLOOR,
     SweepConfig,
+    SweepResult,
     VerifyReport,
     default_verify_grid,
     emit_csv,
@@ -175,6 +176,26 @@ class TestCsv:
             "0", "-0", "", "0.10000000000000001", "", "", "-0", "0.10000000000000001", "", "0",
             "0.33333333333333331"]
 
+    @pytest.mark.parametrize("offset", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_blocks_write_the_one_string_bytes(self, tmp_path, offset):
+        blocks, extra = offset
+        n = blocks * sweeps._CSV_BLOCK_ROWS + extra
+        columns = [[str(i) for i in range(n)],
+                   ["" if i % 3 == 0 else f"{i / 7:.17g}" for i in range(n)],
+                   [""] * n]
+        want = "\n".join(["a,b,c", *map(",".join, zip(*columns))]) + "\n"
+        path = _write_csv(tmp_path / "t.csv", "a,b,c", columns)
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_columns_of_unequal_length_are_rejected_before_the_file_is_opened(self, tmp_path):
+        result = SweepResult(tau=np.linspace(0.0, 1.0, 5), success_prob=np.full(3, 0.5),
+                             q=np.zeros(4), p=None, engine="analytic")
+        with pytest.raises(ValueError, match=r"differ in length: \[5, 4, 5, 3\]"):
+            emit_csv(result, tmp_path / "s.csv")
+        with pytest.raises(ValueError, match=r"differ in length: \[2, 1\]"):
+            _write_csv(tmp_path / "t.csv", "a,b", [["1", "2"], ["3"]])
+        assert list(tmp_path.iterdir()) == []
+
 
 def _per_point_line_plot(series, path, xlabel="", ylabel="", title=""):
     """The per-sample line_plot that the array version replaced, kept
@@ -252,6 +273,51 @@ def _per_point_line_plot(series, path, xlabel="", ylabel="", title=""):
     return svgplot._write_svg(parts, path)
 
 
+def _per_cell_heatmap(values, xs, ys, path, xlabel="", ylabel="", title=""):
+    """The heatmap that built every cell's rect before writing, kept
+    verbatim as the byte reference."""
+    from optoweak import svgplot
+    from optoweak.svgplot import _HEIGHT, _ML, _MR, _MT, _MB, _WIDTH, _fmt
+
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("heatmap values must all be finite")
+    ny, nx = len(ys), len(xs)
+    if values.shape != (ny, nx):
+        raise ValueError(f"heatmap values have shape {values.shape}, not {(ny, nx)}")
+    x0, x1, y0, y1 = xs[0], xs[-1], ys[0], ys[-1]
+    vmax = float(np.max(np.abs(values)))
+    plot_w = _WIDTH - _ML - _MR - 60  # reserve room for the colorbar
+    plot_h = _HEIGHT - _MT - _MB
+    px = [_fmt(_ML + ix / nx * plot_w) for ix in range(nx)]
+    size = f'width="{_fmt(plot_w / nx + 0.5)}" height="{_fmt(plot_h / ny + 0.5)}"'
+    colors = svgplot._diverging_colors(values.ravel(), vmax)
+    parts: list[str] = []
+    for iy in range(ny):
+        py = _fmt(_MT + (1 - (iy + 1) / ny) * plot_h)
+        parts += [
+            f'<rect x="{x}" y="{py}" {size} fill="{color}"/>'
+            for x, color in zip(px, colors[iy * nx:(iy + 1) * nx])
+        ]
+    svgplot._frame(parts, x0, x1, y0, y1, xlabel, ylabel, title, plot_w, plot_h)
+
+    bar_x = _ML + plot_w + 18
+    bar_n = 32
+    bar = [(2 * (1 - (i + 0.5) / bar_n) - 1) * vmax for i in range(bar_n)]
+    for i, color in enumerate(svgplot._diverging_colors(bar, vmax)):
+        py = _MT + i / bar_n * plot_h
+        parts.append(
+            f'<rect x="{bar_x}" y="{_fmt(py)}" width="16" height="{_fmt(plot_h / bar_n + 0.5)}" '
+            f'fill="{color}"/>'
+        )
+    for frac, v in ((0.0, vmax), (0.5, 0.0), (1.0, -vmax)):
+        py = _MT + frac * plot_h
+        parts.append(
+            f'<text x="{bar_x + 20}" y="{_fmt(py + 4)}" font-size="11">{_fmt(v)}</text>'
+        )
+    return svgplot._write_svg(parts, path)
+
+
 def _line_series(case):
     xs = np.linspace(0.0, 3.0, 40)
     if case == "nan-gaps":  # one-sample runs at 1, 21 and 39
@@ -289,6 +355,20 @@ class TestPlots:
         labels = dict(xlabel="x", ylabel="y", title="t")
         got = svgplot.line_plot(series, tmp_path / "array.svg", **labels).read_bytes()
         want = _per_point_line_plot(series, tmp_path / "ref.svg", **labels).read_bytes()
+        assert got == want
+
+    @pytest.mark.parametrize("case", ["5x3", "zero"])
+    def test_heatmap_matches_per_cell_reference(self, tmp_path, case):
+        from optoweak import svgplot
+
+        xs, ys = np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 0.5, 3)
+        if case == "zero":  # vmax = 0: every cell white
+            values = np.zeros((3, 5))
+        else:
+            values = np.sin(np.add.outer(3 * ys, xs)) + 0.5 * np.outer(ys, xs)
+        labels = dict(xlabel="x", ylabel="y", title="t")
+        got = svgplot.heatmap(values, xs, ys, tmp_path / "rows.svg", **labels).read_bytes()
+        want = _per_cell_heatmap(values, xs, ys, tmp_path / "ref.svg", **labels).read_bytes()
         assert got == want
 
     def test_line_plot_rejects_mismatched_lengths(self, tmp_path):
