@@ -31,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dark-port weak-measurement amplification in single-photon optomechanics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    integrator = lindblad.IntegratorConfig
-    dt_help = "validated to (0, 0.01] but has no effect: the exact oracle takes no step"
 
     sp = sub.add_parser("sweep", help="tabulate conditioned observables over a tau grid")
     sp.add_argument("--k", type=float, default=sweeps.FIG_COUPLING)
@@ -44,8 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--observable", choices=sweeps.OBSERVABLES,
                     default=sweeps.SweepConfig.observable)
     sp.add_argument("--engine", choices=sweeps.ENGINES, default=sweeps.SweepConfig.engine)
-    sp.add_argument("--dt", type=float, default=integrator.dt, help=dt_help)
-    sp.add_argument("--fock-dim", type=int, default=integrator.fock_dim)
     sp.add_argument("--out", default="sweep.csv", help="CSV output path")
     sp.add_argument("--plot", help="optional SVG output path")
 
@@ -61,10 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="compare closed forms against the Lindblad oracle")
     vp.add_argument("--tolerance", type=float, default=sweeps.VERIFY_TOLERANCE)
-    vp.add_argument("--dt", type=float, default=integrator.dt, help=dt_help)
-    vp.add_argument("--fock-dim", type=int, default=integrator.fock_dim)
     vp.add_argument("--out", default="verify_report.json", help="JSON report path")
 
+    for p in (sp, vp):  # the commands that run the oracle
+        p.add_argument("--dt", type=float, default=lindblad.IntegratorConfig.dt,
+                       help="validated to (0, 0.01] but has no effect: "
+                            "the exact oracle takes no step")
+        p.add_argument("--fock-dim", type=int, default=lindblad.IntegratorConfig.fock_dim)
     for p in (sp, fp, wp, vp):
         p.add_argument("--config", help="JSON file with option defaults")
     return parser

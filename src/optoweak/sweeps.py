@@ -242,26 +242,6 @@ def figure(name: str, out_dir) -> list[Path]:
     return written
 
 
-# json's spellings of the floats that float.__repr__ writes as nan, inf and -inf
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# the encoder json.dumps(value, indent=2, sort_keys=True) builds on every call, built once
-_JSON = json.JSONEncoder(indent=2, sort_keys=True)
-_COMPARED_KEYS = frozenset(("abs_diff", "analytic", "gamma", "k", "observable", "oracle", "tau",
-                            "theta"))
-# a compared point as json.dumps(indent=2, sort_keys=True) writes it in the report's list
-_COMPARED_POINT = ("    {{\n" + ",\n".join(f'      "{key}": {{}}' for key in sorted(_COMPARED_KEYS))
-                   + "\n    }}")
-
-
-def _json_value(value, depth: int) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` as it reads ``depth``
-    levels deep; a float is written as json writes it, without the encoder."""
-    if type(value) is float:
-        text = float.__repr__(value)
-        return _JSON_NON_FINITE.get(text, text)
-    return _JSON.encode(value).replace("\n", "\n" + "  " * depth)
-
-
 @dataclass
 class VerifyReport:
     points: list[dict]
@@ -270,35 +250,10 @@ class VerifyReport:
     passed: bool
 
     def to_json(self) -> str:
-        """The bytes of ``json.dumps({"points", "max_abs_diff", "tolerance",
-        "pass"}, indent=2, sort_keys=True)``, written directly: a compared
-        point fills one template, and k, gamma, theta and tau, which repeat
-        over the points, are formatted once per distinct non-zero float
-        (0.0 == -0.0, so zeros are always formatted).  Any other point or
-        value goes through json."""
-        repeated: dict[float, str] = {}
-
-        def once(value):
-            if type(value) is not float or not value:
-                return _json_value(value, 3)
-            text = repeated.get(value)
-            if text is None:
-                text = repeated[value] = _json_value(value, 3)
-            return text
-
-        points = [
-            _COMPARED_POINT.format(
-                _json_value(point["abs_diff"], 3), _json_value(point["analytic"], 3),
-                once(point["gamma"]), once(point["k"]), _json_value(point["observable"], 3),
-                _json_value(point["oracle"], 3), once(point["tau"]), once(point["theta"]))
-            if isinstance(point, dict) and point.keys() == _COMPARED_KEYS
-            else "    " + _json_value(point, 2)
-            for point in self.points
-        ]
-        listed = "[\n" + ",\n".join(points) + "\n  ]" if points else "[]"
-        return (f'{{\n  "max_abs_diff": {_json_value(self.max_abs_diff, 1)},\n'
-                f'  "pass": {_json_value(self.passed, 1)},\n  "points": {listed},\n'
-                f'  "tolerance": {_json_value(self.tolerance, 1)}\n}}')
+        """The report as json's compact encoding, keys sorted; NaN and
+        infinities are spelled NaN, Infinity and -Infinity."""
+        return json.dumps({"points": self.points, "max_abs_diff": self.max_abs_diff,
+                           "tolerance": self.tolerance, "pass": self.passed}, sort_keys=True)
 
     def summary(self) -> str:
         """One line: verdict, largest difference, compared and error point counts."""
@@ -311,14 +266,12 @@ class VerifyReport:
 
 
 def default_verify_grid() -> list[tuple[model.ModelParams, str]]:
-    """(params, observable) combinations checked by default: q and p for
-    every damping/shifter combination."""
-    combos = []
-    for gamma in (0.0, FIG_DAMPING):
-        for theta in (0.0, FIG_SHIFTER, -FIG_SHIFTER):
-            params = model.ModelParams(k=FIG_COUPLING, gamma=gamma, theta=theta)
-            combos += [(params, "q"), (params, "p")]
-    return combos
+    """(params, observable) combinations checked by default: q and p at every
+    (damping, shifter) pair of ``LINE_FIGURES``, ordered by damping."""
+    pairs = dict.fromkeys((gamma, theta) for theta, _, dampings in LINE_FIGURES.values()
+                          for gamma in dampings)
+    return [(model.ModelParams(k=FIG_COUPLING, gamma=gamma, theta=theta), observable)
+            for gamma, theta in sorted(pairs, key=lambda pair: pair[0]) for observable in "qp"]
 
 
 def verify(
@@ -346,42 +299,39 @@ def verify(
     taus = np.linspace(0.0, 4 * np.pi, 50) if taus is None else np.asarray(taus, float)
     grid = default_verify_grid() if grid is None else grid
 
-    by_params: dict[model.ModelParams, list[str]] = {}
+    # theta enters the oracle only at postselection: one evolution per (k, gamma)
+    groups: dict[tuple[float, float], dict[model.ModelParams, list[str]]] = {}
     for params, observable in grid:
         if observable not in ("q", "p"):
             raise ValueError(f"grid entry ({params!r}, {observable!r}): observable must be 'q' or 'p'")
-        by_params.setdefault(params, []).append(observable)
-    # theta enters the oracle only at postselection: one evolution per (k, gamma)
-    groups: dict[tuple[float, float], list[model.ModelParams]] = {}
-    for params in by_params:
-        groups.setdefault((params.k, params.gamma), []).append(params)
-    oracle: dict[model.ModelParams, tuple | Exception] = {}
-    for members in groups.values():
-        try:
-            oracle.update(zip(members, lindblad.oracle_sweeps(members, taus, config, stats=stats)))
-        except Exception as exc:  # recorded on every member below, not fatal
-            oracle.update(dict.fromkeys(members, exc))
+        groups.setdefault((params.k, params.gamma), {}).setdefault(params, []).append(observable)
 
     points: list[dict] = []
-    for params, observables in by_params.items():
-        base = {"k": params.k, "gamma": params.gamma, "theta": params.theta}
+    for members in groups.values():
         try:
-            if isinstance(oracle[params], Exception):
-                raise oracle[params]
-            analytic = model.conditioned_moments(params, taus)
-        except Exception as exc:  # recorded, not fatal
-            points.append({**base, "observable": "/".join(observables), "error": str(exc)})
-            continue
-        live = analytic[2] > SUCCESS_FLOOR
-        for obs, a_vals, o_vals in zip("qp", analytic, oracle[params]):
-            if obs not in observables:
+            oracle = lindblad.oracle_sweeps(list(members), taus, config, stats=stats)
+        except Exception as exc:  # recorded on every member below, not fatal
+            oracle = [exc] * len(members)
+        for (params, observables), sampled in zip(members.items(), oracle):
+            base = {"k": params.k, "gamma": params.gamma, "theta": params.theta}
+            try:
+                if isinstance(sampled, Exception):
+                    raise sampled
+                analytic = model.conditioned_moments(params, taus)
+            except Exception as exc:  # recorded, not fatal
+                points.append({**base, "observable": "/".join(observables), "error": str(exc)})
                 continue
-            a_vals, o_vals = a_vals[live], o_vals[live]
-            columns = (taus[live], a_vals, o_vals, np.abs(a_vals - o_vals))
-            points.extend(
-                {**base, "observable": obs, "tau": tau, "analytic": a, "oracle": o, "abs_diff": d}
-                for tau, a, o, d in zip(*(column.tolist() for column in columns))
-            )
+            live = analytic[2] > SUCCESS_FLOOR
+            for obs, a_vals, o_vals in zip("qp", analytic, sampled):
+                if obs not in observables:
+                    continue
+                a_vals, o_vals = a_vals[live], o_vals[live]
+                columns = (taus[live], a_vals, o_vals, np.abs(a_vals - o_vals))
+                points.extend(
+                    {**base, "observable": obs, "tau": tau, "analytic": a, "oracle": o,
+                     "abs_diff": d}
+                    for tau, a, o, d in zip(*(column.tolist() for column in columns))
+                )
 
     diffs = [point["abs_diff"] for point in points if "error" not in point]
     max_abs_diff = float(np.max(diffs)) if diffs else 0.0  # np.max keeps a NaN

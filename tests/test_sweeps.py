@@ -553,6 +553,11 @@ class TestVerify:
         grid = default_verify_grid()
         assert len(grid) == 12
         assert sum(1 for _, obs in grid if obs == "p") == 6
+        figure_sets = {(gamma, theta) for theta, _, dampings in LINE_FIGURES.values()
+                       for gamma in dampings}
+        assert sorted((params.gamma, params.theta, obs) for params, obs in grid) == sorted(
+            (gamma, theta, obs) for gamma, theta in figure_sets for obs in "qp")
+        assert all(params.k == sweeps.FIG_COUPLING for params, _ in grid)
 
     def test_small_grid_passes(self, tmp_path):
         report = verify(
@@ -698,8 +703,8 @@ def assert_writes_the_json_bytes(report):
     payload = {"points": report.points, "max_abs_diff": report.max_abs_diff,
                "tolerance": report.tolerance, "pass": report.passed}
     text = report.to_json()
-    assert text == json.dumps(payload, indent=2, sort_keys=True)
-    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+    assert text == json.dumps(payload, sort_keys=True)
+    assert json.dumps(json.loads(text), sort_keys=True) == text
 
 
 # few distinct values, so that points share k, gamma, theta and tau
