@@ -1,6 +1,6 @@
 """The suite's pytest settings report a failing property test as a plain
-failure: the run exits 1 and prints the falsifying example, with every
-warning but a third-party deprecation still an error."""
+failure: the run exits 1 and prints the falsifying example, although every
+warning but the one ``filterwarnings`` ignores is an error."""
 
 import subprocess
 import sys
