@@ -192,8 +192,6 @@ def emit_plot(data: SweepResult, path) -> Path:
     for observable, column in (("q", data.q), ("p", data.p)):
         if column is not None:
             series.append((data.tau, column, _AXIS[observable], bool(series)))
-    if not series:
-        raise ValueError("sweep holds no observable columns to plot")
     # lazy: verify never draws, and importing svgplot without cached bytecode takes ~4 ms
     from . import svgplot
 

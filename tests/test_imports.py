@@ -1,12 +1,16 @@
 """The package imports nothing but the standard library and numpy: numpy
 is its only runtime dependency, and the tests import scipy's matrix
 functions as independent references.  The oracle's imports stop short of
-the closed forms, and the test references that claim independence from
-the package import none of it."""
+the closed forms, at run time as in the source, and the test references
+that claim independence from the package import none of it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import optoweak
 
@@ -15,6 +19,15 @@ TESTS = Path(__file__).parent
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", PACKAGE.name}
 # what the oracle and the Fock-space module may take from model: no formula
 MODEL_NAMES_FOR_THE_ORACLE = {"ModelParams", "TRACE_FLOOR"}
+# the package modules an import of each module loads: the package root
+# re-exports nothing, so a module brings in only what it imports itself
+LOADED = {
+    "model": {"model"},
+    "fockspace": {"fockspace"},
+    "lindblad": {"fockspace", "lindblad", "model"},
+    "sweeps": {"fockspace", "lindblad", "model", "sweeps"},
+    "cli": {"cli", "fockspace", "lindblad", "model", "sweeps"},
+}
 
 
 def imported_packages(path):
@@ -80,3 +93,19 @@ def test_references_import_no_package_code():
     found = {name: imported_packages(TESTS / name) & {PACKAGE.name}
              for name in ("dense_reference.py", "literal_forms.py")}
     assert found == {"dense_reference.py": set(), "literal_forms.py": set()}
+
+
+@pytest.mark.parametrize("module", sorted(LOADED))
+def test_import_loads_only_what_the_module_imports(module):
+    # a fresh interpreter on this checkout's src, whatever else is installed;
+    # no module loads svgplot, which emit_plot imports lazily: verify never draws
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    script = (f"import sys, {PACKAGE.name}.{module}\n"
+              f"print(' '.join(sorted(n for n in sys.modules if n.startswith('{PACKAGE.name}.'))))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    loaded = {name.partition(".")[2] for name in result.stdout.split()}
+    assert loaded == LOADED[module]
+    assert "svgplot" not in loaded

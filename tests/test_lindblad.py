@@ -458,6 +458,7 @@ class TestOracleObservables:
                 assert np.array_equal(a, b)
         with pytest.raises(ValueError, match="share k and gamma"):
             oracle_sweeps([ModelParams(k=K), ModelParams(k=K, gamma=0.005)], taus)
+        assert oracle_sweeps([], taus) == []
 
 
 class TestTaylorPropagator:

@@ -378,6 +378,22 @@ class TestPlots:
         with pytest.raises(ValueError, match="as many ys as xs"):
             svgplot.line_plot([(xs, np.cos(xs[:4]), "a", False)], tmp_path / "p.svg")
 
+    @pytest.mark.parametrize("case", ["none", "all-nan"])
+    def test_line_plot_rejects_nothing_to_plot(self, tmp_path, case):
+        from optoweak import svgplot
+
+        xs = np.linspace(0.0, 1.0, 5)
+        series = [] if case == "none" else [(xs, np.full(5, np.nan), "a", False)]
+        with pytest.raises(ValueError, match="nothing to plot"):
+            svgplot.line_plot(series, tmp_path / "p.svg")
+
+    def test_sweep_plot_rejects_no_observable_columns(self, tmp_path):
+        result = SweepResult(tau=np.linspace(0.0, 1.0, 5), success_prob=np.full(5, 0.5),
+                             q=None, p=None, engine="analytic")
+        with pytest.raises(ValueError, match="nothing to plot"):
+            emit_plot(result, tmp_path / "s.svg")
+        assert list(tmp_path.iterdir()) == []
+
     def test_heatmap_rejects_mismatched_shape(self, tmp_path):
         from optoweak import svgplot
 
