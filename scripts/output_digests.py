@@ -48,6 +48,9 @@ COMMANDS = {
                       "--plot=sweep.svg"],
     "sweep-both": [*SWEEP_BOTH, "--tau-end", "12.566", "--steps", "60"],
     "sweep-both-short": [*SWEEP_BOTH, "--tau-end", "1e-4", "--steps", "30"],
+    # the oracle alone: its table at --out, nothing beside it
+    "sweep-oracle": ["sweep", "--engine", "oracle", "--observable", "both", "--gamma", "0.005",
+                     "--theta", "0.001", "--tau-end", "12.566", "--steps", "60"],
     # about 21 snapshots to one Taylor substep of the oracle
     "sweep-dense-oracle": ["sweep", "--engine", "both", "--observable", "both", "--gamma", "0.05",
                            "--theta", "0.001", "--tau-end", "12.566", "--steps", "400"],

@@ -96,16 +96,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = sweeps.SweepConfig(params=params, tau_start=args.tau_start, tau_end=args.tau_end,
                                 steps=args.steps, observable=args.observable, engine=args.engine)
     integrator = lindblad.IntegratorConfig(dt=args.dt, fock_dim=args.fock_dim)
-    result = sweeps.run_sweep(config, integrator)
+    results = sweeps.run_sweep(config, integrator)
     out = Path(args.out)
-    sweeps.emit_csv(result, out)
+    sweeps.emit_csv(results[0], out)
     written = [out]
-    if result.oracle_companion is not None:
+    for oracle in results[1:]:  # engine "both": the oracle's table beside --out
         oracle_out = out.with_name(out.stem + ".oracle" + (out.suffix or ".csv"))
-        sweeps.emit_csv(result.oracle_companion, oracle_out)
+        sweeps.emit_csv(oracle, oracle_out)
         written.append(oracle_out)
     if args.plot:
-        written.append(sweeps.emit_plot(result, args.plot))
+        written.append(sweeps.emit_plot(results[0], args.plot))
     for p in written:
         print(f"wrote {p}")
     return 0

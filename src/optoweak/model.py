@@ -58,13 +58,16 @@ class ConditionedMirrorState:
                     when gamma = 0
     total_phase  -- theta + kerr_phase
     decoherence  -- damping-induced suppression exponent of that coherence
-    success_prob -- trace of the conditioned state = dark-port click probability
+    visibility   -- fringe visibility e^{-s}, s = |varphi|^2/2 + decoherence
+    success_prob -- trace of the conditioned state = dark-port click probability,
+                    (1/2) [1 - visibility cos(total_phase)]
     """
 
     varphi: complex
     kerr_phase: float
     total_phase: float
     decoherence: float
+    visibility: float
     success_prob: float
 
 
@@ -128,12 +131,14 @@ def conditioned_state(params: ModelParams, tau) -> ConditionedMirrorState:
         dec = np.maximum(2 * (prefactor * np.real(half)), 0.0)
     total = params.theta + phase
     s = half_norm + dec
-    success = 0.5 * (-np.expm1(-s)) + np.exp(-s) * np.sin(total / 2) ** 2
+    visibility = np.exp(-s)
+    success = 0.5 * (-np.expm1(-s)) + visibility * np.sin(total / 2) ** 2
     return ConditionedMirrorState(
         varphi=varphi,
         kerr_phase=phase,
         total_phase=total,
         decoherence=dec,
+        visibility=visibility,
         success_prob=success,
     )
 
@@ -175,8 +180,7 @@ def conditioned_moments(params: ModelParams, tau):
     """
     st = conditioned_state(params, tau)
     prob = st.success_prob
-    s = np.abs(st.varphi) ** 2 / 2 + st.decoherence
-    kick = np.exp(-s) * np.sin(st.total_phase)
+    kick = st.visibility * np.sin(st.total_phase)
     denom = np.where(prob >= TRACE_FLOOR, 2 * prob, np.nan)
     q = np.real(st.varphi) + kick * np.imag(st.varphi) / denom
     p = np.imag(st.varphi) - kick * np.real(st.varphi) / denom

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -79,46 +79,35 @@ class SweepConfig:
 
 @dataclass
 class SweepResult:
-    """Columns of one sweep; NaN marks a defined-but-degenerate point,
-    None an observable that was not requested."""
+    """Columns of one engine's sweep; NaN marks a defined-but-degenerate
+    point, None an observable that was not requested."""
 
     tau: np.ndarray
     success_prob: np.ndarray
     q: np.ndarray | None
     p: np.ndarray | None
-    engine: str
-    oracle_companion: "SweepResult | None" = field(default=None, repr=False)
-
-
-def _sweep(config: SweepConfig, engine: str,
-           integrator: lindblad.IntegratorConfig | None = None) -> SweepResult:
-    taus = config.taus()
-    if engine == "analytic":
-        q, p, prob = model.conditioned_moments(config.params, taus)
-    else:
-        q, p, prob = lindblad.oracle_sweep(config.params, taus, integrator)
-    live = prob > SUCCESS_FLOOR
-    return SweepResult(
-        tau=taus,
-        success_prob=prob,
-        q=np.where(live, q, np.nan) if config.observable in ("q", "both") else None,
-        p=np.where(live, p, np.nan) if config.observable in ("p", "both") else None,
-        engine=engine,
-    )
 
 
 def run_sweep(config: SweepConfig,
-              integrator: lindblad.IntegratorConfig | None = None) -> SweepResult:
-    """Evaluate the requested engine(s) over the tau grid.
-
-    With engine="both" the analytic result is returned and the oracle's
-    columns are attached as ``oracle_companion``.
-    """
-    if config.engine != "both":
-        return _sweep(config, config.engine, integrator)
-    result = _sweep(config, "analytic")
-    result.oracle_companion = _sweep(config, "oracle", integrator)
-    return result
+              integrator: lindblad.IntegratorConfig | None = None) -> list[SweepResult]:
+    """Evaluate each engine that ``config.engine`` names over the tau grid:
+    one result per engine, the analytic one first when the engine is "both"."""
+    taus = config.taus()
+    engines = ("analytic", "oracle") if config.engine == "both" else (config.engine,)
+    results = []
+    for engine in engines:
+        if engine == "analytic":
+            q, p, prob = model.conditioned_moments(config.params, taus)
+        else:
+            q, p, prob = lindblad.oracle_sweep(config.params, taus, integrator)
+        live = prob > SUCCESS_FLOOR
+        results.append(SweepResult(
+            tau=taus,
+            success_prob=prob,
+            q=np.where(live, q, np.nan) if config.observable in ("q", "both") else None,
+            p=np.where(live, p, np.nan) if config.observable in ("p", "both") else None,
+        ))
+    return results
 
 
 def _format_column(column) -> list[str]:
@@ -186,8 +175,7 @@ _AXIS = {"q": "&#10216;q&#10217;/&#963;", "p": "&#10216;p&#10217;&#183;2&#963;/&
 
 def emit_plot(data: SweepResult, path) -> Path:
     """Render the observable columns of a SweepResult as a line plot over tau
-    (:func:`svg_heatmap` renders a WignerGrid).  Only ``data`` itself is
-    drawn: its ``oracle_companion``, if any, is not."""
+    (:func:`svg_heatmap` renders a WignerGrid)."""
     series = []
     for observable, column in (("q", data.q), ("p", data.p)):
         if column is not None:
@@ -231,7 +219,7 @@ def figure(name: str, out_dir) -> list[Path]:
     written, series = [], []
     for gamma in dampings:
         params = model.ModelParams(k=FIG_COUPLING, gamma=gamma, theta=theta)
-        result = _sweep(SweepConfig(params=params, observable=observable), "analytic")
+        result, = run_sweep(SweepConfig(params=params, observable=observable))
         stem = name if len(dampings) == 1 else f"{name}_gamma{gamma:g}"
         written.append(emit_csv(result, out / f"{stem}.csv"))
         series.append((result.tau, getattr(result, observable), f"&#947;={gamma:g}", bool(series)))

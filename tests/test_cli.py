@@ -48,6 +48,18 @@ class TestSweepCommand:
         q_oracle = np.genfromtxt(companion, delimiter=",", names=True)["q_over_sigma"]
         assert np.nanmax(np.abs(q_analytic - q_oracle)) < 1e-6
 
+    def test_engine_oracle_writes_only_out(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run_cli(["sweep", "--theta", 0.001, "--tau-end", 0.5, "--steps", 3,
+                        "--engine", "oracle", "--observable", "both", "--out", out])
+        assert code == 0
+        assert list(tmp_path.iterdir()) == [out]
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        config = sweeps.SweepConfig(model.ModelParams(k=sweeps.FIG_COUPLING, theta=0.001),
+                                    tau_end=0.5, steps=3, observable="both", engine="oracle")
+        expected = sweeps.emit_csv(*sweeps.run_sweep(config), tmp_path / "lib.csv")
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_damped_momentum_against_oracle(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run_cli(["sweep", "--gamma", 0.005, "--theta", 0.001, "--tau-end", 0.5,
@@ -179,7 +191,7 @@ class TestCliDefaults:
         out, expected = tmp_path / "cli.csv", tmp_path / "lib.csv"
         assert run_cli(["sweep", "--out", out]) == 0
         config = sweeps.SweepConfig(model.ModelParams(k=sweeps.FIG_COUPLING))
-        sweeps.emit_csv(sweeps.run_sweep(config), expected)
+        sweeps.emit_csv(*sweeps.run_sweep(config), expected)
         assert out.read_bytes() == expected.read_bytes()
 
     def test_wigner(self, tmp_path):
@@ -242,6 +254,9 @@ class TestCliErrors:
             (["sweep"], 3, "must hold a JSON object"),
             (["figure", "fig4"], {"name": "fig2"}, "unknown config keys for figure: ['name']"),
             (["sweep", "--out", "nodir/s.csv"], None, "cannot write sweep CSV to nodir/s.csv"),
+            (["sweep", "--out", "."], None, "cannot write sweep CSV to .: "),
+            (["sweep", "--engine", "both", "--fock-dim", 8, "--out", "."], None,
+             "cannot write sweep CSV to .: "),
             (["wigner", "--out", "nodir/w.svg"], None, "No such file or directory: 'nodir/w.svg'"),
             (["figure", "fig4", "--out-dir", "file/x"], None, "Not a directory: 'file/x'"),
         ],
@@ -253,7 +268,8 @@ class TestCliErrors:
              "config-steps-float", "config-steps-word", "config-k-bool",
              "config-plot-false", "config-out-list",
              "config-observable", "config-not-object", "config-figure-name",
-             "sweep-unwritable", "wigner-unwritable", "figure-unwritable"],
+             "sweep-unwritable", "sweep-out-directory", "sweep-both-out-directory",
+             "wigner-unwritable", "figure-unwritable"],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, args, config,
                                         message):
@@ -304,10 +320,10 @@ def test_output_digests_script_runs_every_command(output_digests):
     lines, out_dir = output_digests
     assert re.fullmatch(r"# Python \S+, numpy .+, BLAS .+", lines[0])
     lines = lines[1:]
-    assert len(set(lines)) == len(lines) == 62
+    assert len(set(lines)) == len(lines) == 64
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     printed = sorted(out_dir.rglob("stdout.txt"))
-    assert len(printed) == 23
+    assert len(printed) == 24
     for stdout in printed:
         assert stdout.read_text(encoding="utf-8").endswith("exit 0\n"), stdout
 

@@ -187,6 +187,14 @@ class TestConditionedState:
                     assert np.array_equal(value, field), (view.__name__, gamma, tau)
                     assert isinstance(value, kind), (view.__name__, gamma, type(value))
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.005])
+    def test_visibility_is_e_to_the_minus_s(self, gamma):
+        st1 = conditioned_state(ModelParams(k=K, gamma=gamma, theta=0.001),
+                                np.linspace(0.0, 4 * np.pi, 101))
+        expected = np.exp(-(np.abs(st1.varphi) ** 2 / 2 + st1.decoherence))
+        assert np.array_equal(st1.visibility, expected)
+        assert st1.visibility[0] == 1.0 and np.all((st1.visibility > 0) & (st1.visibility <= 1))
+
     @given(k=ks, gamma=gammas, theta=thetas, tau=taus)
     @example(k=0.25, gamma=0.125, theta=0.0, tau=1e-14)  # bracket rounds below 0
     def test_success_prob_is_a_probability(self, k, gamma, theta, tau):

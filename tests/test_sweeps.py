@@ -88,8 +88,7 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_analytic_columns(self):
-        r = run_sweep(tiny_config())
-        assert r.engine == "analytic"
+        r, = run_sweep(tiny_config())
         assert r.p is None
         assert np.all(np.diff(r.tau) > 0)
         assert np.all(np.isfinite(r.q))
@@ -101,7 +100,7 @@ class TestRunSweep:
         # probability ~1e-14 at the two later points
         cfg = tiny_config(params=ModelParams(k=K), tau_end=1e-4, engine=engine,
                           observable="both")
-        r = run_sweep(cfg, IntegratorConfig(dt=5e-3, fock_dim=12))
+        r, = run_sweep(cfg, IntegratorConfig(dt=5e-3, fock_dim=12))
         assert r.success_prob[0] == 0.0
         assert (r.success_prob[1:] > 0).all()
         dead = r.success_prob <= SUCCESS_FLOOR
@@ -113,57 +112,74 @@ class TestRunSweep:
     def test_oracle_engine_agrees_with_analytic(self, gamma):
         params = ModelParams(k=K, gamma=gamma, theta=0.001)
         cfg = tiny_config(params=params, engine="oracle", observable="both")
-        oracle = run_sweep(cfg, IntegratorConfig(dt=2e-3, fock_dim=12))
-        analytic = run_sweep(tiny_config(params=params, observable="both"))
+        oracle, = run_sweep(cfg, IntegratorConfig(dt=2e-3, fock_dim=12))
+        analytic, = run_sweep(tiny_config(params=params, observable="both"))
         assert np.nanmax(np.abs(oracle.q - analytic.q)) < 1e-6
         assert np.nanmax(np.abs(oracle.p - analytic.p)) < 1e-6
 
     def test_one_analytic_evaluation_per_sweep(self, monkeypatch):
         calls = count_conditioned_state_calls(monkeypatch)
-        r = run_sweep(tiny_config(observable="both"))
+        r, = run_sweep(tiny_config(observable="both"))
         assert len(calls) == 1
         assert np.isfinite(r.q).all() and np.isfinite(r.p).all()
 
-    def test_both_engines_attach_companion(self):
-        r = run_sweep(tiny_config(engine="both"), IntegratorConfig(dt=5e-3, fock_dim=12))
-        assert r.engine == "analytic"
-        assert r.oracle_companion is not None
-        assert r.oracle_companion.engine == "oracle"
+    def test_both_engines_give_analytic_then_oracle(self):
+        integrator = IntegratorConfig(dt=5e-3, fock_dim=12)
+        both = run_sweep(tiny_config(engine="both", observable="both"), integrator)
+        singles = [run_sweep(tiny_config(engine=engine, observable="both"), integrator)
+                   for engine in ("analytic", "oracle")]
+        assert len(both) == 2 and all(len(single) == 1 for single in singles)
+        for result, (single,) in zip(both, singles):
+            for column in ("tau", "success_prob", "q", "p"):
+                # bit for bit: NaN at the same places, every other value equal
+                assert getattr(result, column).tobytes() == getattr(single, column).tobytes()
+
+    def test_each_figure_curve_is_one_run_sweep(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(config, integrator=None):
+            calls.append(config)
+            return run_sweep(config, integrator)
+
+        monkeypatch.setattr(sweeps, "run_sweep", counting)
+        sweeps.figure("fig2", tmp_path)
+        assert [config.params.gamma for config in calls] == [0.0, sweeps.FIG_DAMPING]
+        assert all(config.engine == "analytic" for config in calls)
 
 
 class TestCsv:
     def test_row_count_and_header(self, tmp_path):
-        path = emit_csv(run_sweep(tiny_config()), tmp_path / "s.csv")
+        path = emit_csv(*run_sweep(tiny_config()), tmp_path / "s.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
 
     def test_degenerate_row_serialization(self, tmp_path):
-        r = run_sweep(tiny_config(params=ModelParams(k=K)))
+        r, = run_sweep(tiny_config(params=ModelParams(k=K)))
         lines = emit_csv(r, tmp_path / "s.csv").read_text().splitlines()
         assert lines[1] == "0,,,0"
 
     def test_seventeen_significant_digits(self, tmp_path):
-        r = run_sweep(tiny_config())
+        r, = run_sweep(tiny_config())
         lines = emit_csv(r, tmp_path / "s.csv").read_text().splitlines()
         tau_cell, q_cell, _, _ = lines[2].split(",")
         assert tau_cell == "0.5"
         assert q_cell == f"{r.q[1]:.17g}"
 
     def test_byte_identical_reruns(self, tmp_path):
-        a = emit_csv(run_sweep(tiny_config()), tmp_path / "a.csv").read_bytes()
-        b = emit_csv(run_sweep(tiny_config()), tmp_path / "b.csv").read_bytes()
+        a = emit_csv(*run_sweep(tiny_config()), tmp_path / "a.csv").read_bytes()
+        b = emit_csv(*run_sweep(tiny_config()), tmp_path / "b.csv").read_bytes()
         assert a == b
 
     def test_roundtrip(self, tmp_path):
-        r = run_sweep(tiny_config())
+        r, = run_sweep(tiny_config())
         cols = np.genfromtxt(emit_csv(r, tmp_path / "s.csv"), delimiter=",", names=True)
         assert np.allclose(cols["tau"], r.tau)
         assert np.allclose(cols["q_over_sigma"], r.q, rtol=1e-15)
 
     def test_unwritable_path_is_reported(self, tmp_path):
         with pytest.raises(OSError, match="cannot write sweep CSV"):
-            emit_csv(run_sweep(tiny_config()), tmp_path / "missing" / "s.csv")
+            emit_csv(*run_sweep(tiny_config()), tmp_path / "missing" / "s.csv")
 
     def test_signed_zero_and_non_finite_fields(self, tmp_path):
         column = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
@@ -189,7 +205,7 @@ class TestCsv:
 
     def test_columns_of_unequal_length_are_rejected_before_the_file_is_opened(self, tmp_path):
         result = SweepResult(tau=np.linspace(0.0, 1.0, 5), success_prob=np.full(3, 0.5),
-                             q=np.zeros(4), p=None, engine="analytic")
+                             q=np.zeros(4), p=None)
         with pytest.raises(ValueError, match=r"differ in length: \[5, 4, 5, 3\]"):
             emit_csv(result, tmp_path / "s.csv")
         with pytest.raises(ValueError, match=r"differ in length: \[2, 1\]"):
@@ -339,8 +355,8 @@ def _line_series(case):
         return [(xs, np.full_like(xs, np.nan), "nan", False), (xs, xs ** 2, "b", True)]
     from optoweak.sweeps import FIG_COUPLING, FIG_DAMPING
 
-    undamped = run_sweep(SweepConfig(params=ModelParams(k=FIG_COUPLING)))
-    damped = run_sweep(SweepConfig(params=ModelParams(k=FIG_COUPLING, gamma=FIG_DAMPING)))
+    undamped, = run_sweep(SweepConfig(params=ModelParams(k=FIG_COUPLING)))
+    damped, = run_sweep(SweepConfig(params=ModelParams(k=FIG_COUPLING, gamma=FIG_DAMPING)))
     return [(undamped.tau, undamped.q, "g0", False), (damped.tau, damped.q, "g", True)]
 
 
@@ -389,7 +405,7 @@ class TestPlots:
 
     def test_sweep_plot_rejects_no_observable_columns(self, tmp_path):
         result = SweepResult(tau=np.linspace(0.0, 1.0, 5), success_prob=np.full(5, 0.5),
-                             q=None, p=None, engine="analytic")
+                             q=None, p=None)
         with pytest.raises(ValueError, match="nothing to plot"):
             emit_plot(result, tmp_path / "s.svg")
         assert list(tmp_path.iterdir()) == []
@@ -423,7 +439,7 @@ class TestPlots:
         assert path.read_text().count("<polyline") == 2
 
     def test_sweep_plot(self, tmp_path):
-        path = emit_plot(run_sweep(tiny_config(steps=64)), tmp_path / "s.svg")
+        path = emit_plot(*run_sweep(tiny_config(steps=64)), tmp_path / "s.svg")
         assert path.read_text().count("<polyline") == 1
 
     def test_heatmap_has_diverging_scale(self, tmp_path):
