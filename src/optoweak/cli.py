@@ -10,7 +10,9 @@ the file.  Invalid input ends in a one-line usage error with exit status 2.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -91,19 +93,43 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
             if value is not None]
 
 
+def _claim(label: str, path, directory: bool = False) -> None:
+    """Make sure, before anything is computed, that the command can write
+    ``path``: a file is opened for appending (and removed again if that
+    made it), a directory is made with its parents.  A directory where a
+    file goes, a missing parent or an unwritable target raises OSError
+    naming ``label``; nothing the command will write changes."""
+    path = Path(path)
+    try:
+        if directory:
+            path.mkdir(parents=True, exist_ok=True)
+            if not os.access(path, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        else:
+            made = not os.path.lexists(path)
+            with path.open("a", encoding="utf-8"):
+                pass
+            if made:
+                path.unlink()
+    except OSError as exc:
+        raise OSError(f"cannot write {label} to {path}: {exc}") from exc
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     params = model.ModelParams(k=args.k, gamma=args.gamma, theta=args.theta)
     config = sweeps.SweepConfig(params=params, tau_start=args.tau_start, tau_end=args.tau_end,
                                 steps=args.steps, observable=args.observable, engine=args.engine)
     integrator = lindblad.IntegratorConfig(dt=args.dt, fock_dim=args.fock_dim)
-    results = sweeps.run_sweep(config, integrator)
     out = Path(args.out)
-    sweeps.emit_csv(results[0], out)
-    written = [out]
-    for oracle in results[1:]:  # engine "both": the oracle's table beside --out
-        oracle_out = out.with_name(out.stem + ".oracle" + (out.suffix or ".csv"))
-        sweeps.emit_csv(oracle, oracle_out)
-        written.append(oracle_out)
+    _claim("sweep CSV", out)
+    tables = [out]
+    if config.engine == "both":  # the oracle's table beside --out
+        tables.append(out.with_name(out.stem + ".oracle" + (out.suffix or ".csv")))
+        _claim("sweep CSV", tables[1])
+    if args.plot:
+        _claim("sweep plot", args.plot)
+    results = sweeps.run_sweep(config, integrator)
+    written = [sweeps.emit_csv(result, path) for result, path in zip(results, tables, strict=True)]
     if args.plot:
         written.append(sweeps.emit_plot(results[0], args.plot))
     for p in written:
@@ -112,12 +138,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    _claim("figure directory", args.out_dir, directory=True)
     for p in sweeps.figure(args.name, args.out_dir):
         print(f"wrote {p}")
     return 0
 
 
 def _cmd_wigner(args: argparse.Namespace) -> int:
+    _claim("Wigner SVG", args.out)
     state = fockspace.named_state(args.state, 2)  # wigner needs no Fock cutoff
     grid = fockspace.wigner(state, args.x_range, args.y_range)
     path = sweeps.svg_heatmap(grid, args.out, title=f"Wigner function, {args.state}")
@@ -127,6 +155,7 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = lindblad.IntegratorConfig(dt=args.dt, fock_dim=args.fock_dim)
+    _claim("verify report", args.out)
     report = sweeps.verify(tolerance=args.tolerance, config=config, out=args.out)
     print(report.summary())
     print(f"wrote {args.out}")

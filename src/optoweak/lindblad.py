@@ -15,9 +15,13 @@ one propagator applies its exact exponential by truncated Taylor series
 (Al-Mohy & Higham 2011), with dense output: the snapshot times within one
 substep's reach form a chunk, whose states one product forms from that
 substep's stored series terms, each time with its own weights.
-:func:`oracle_sweep` postselects each chunk with one product, every
-phase-shifter theta and observable from its own kernel;
-:func:`integrate_snapshots` returns the joint states.  Every analytic
+:func:`oracle_sweeps` evolves any list of parameter sets in one pass: each
+distinct (k, gamma) is one block of the joined state vector [R_1.ravel(),
+R_2.ravel(), ...] under the block-diagonal generator, with one trace shift
+per block, one norm and one stopping test for all.  Each chunk is
+postselected with one product, every phase-shifter theta and observable
+from its own kernel on its own block; :func:`integrate_snapshots` returns
+the joint states.  Every analytic
 formula in :mod:`optoweak.model` is validated against this oracle;
 nothing here shares code with the closed forms: from
 :mod:`optoweak.model` it takes only ``ModelParams`` and ``TRACE_FLOOR``,
@@ -76,9 +80,10 @@ class IntegratorConfig:
             raise ValueError(f"fock_dim={self.fock_dim!r} must be an integer of at least 8")
 
 
-def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
-    """Generator of the oracle's state vector R.ravel() (see the module
-    docstring), as its six non-zero diagonals.
+def _block_generator(pairs, dim: int) -> dict[int, np.ndarray]:
+    """Generator of the oracle's joined state vector [R_1.ravel(),
+    R_2.ravel(), ...] (see the module docstring), block i evolving under
+    the (k, gamma) of ``pairs[i]``, as its six non-zero diagonals.
 
     On S, H = n' - k x' and C = c' with n' = (0, ..., N - 1, 0), x' = x (+)
     0 and c' = c (+) 0, so dR = -i (H R - R H) + gamma (c' R c'^dag - (n' R
@@ -87,9 +92,11 @@ def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
     (offsets -+1) and (l + 1, r + 1) through the jump (offset N + 2).  x''s
     sub- and superdiagonal are padded with a zero at each end, which stops
     every term at the edge of R: each c_d is zero wherever p + d is not a
-    neighbour of p in R.
+    neighbour of p in R, so no term crosses from one block to the next and
+    the generator is block-diagonal.
     Returns {d: c_d} with (L v)[p] = sum_d c_d[p] v[p + d].
     """
+    k, gamma = (np.array(column, dtype=float)[:, None, None] for column in zip(*pairs))
     x = np.pad(position_quadrature(dim), (0, 1))                  # x', real symmetric
     up = np.append(np.diagonal(x, 1), 0)                          # x'[l, l + 1] = c'[l, l + 1]
     down = np.insert(np.diagonal(x, -1), 0, 0)                    # x'[l, l - 1]
@@ -103,7 +110,8 @@ def _block_generator(k: float, gamma: float, dim: int) -> dict[int, np.ndarray]:
         side: 1j * k * up[:, None],
         side + 1: gamma * (up[:, None] * up),                     # c'[l, l+1] c'[r, r+1]
     }
-    return {d: np.broadcast_to(c, (side, side)).astype(complex).ravel() for d, c in diagonals.items()}
+    shape = (len(pairs), side, side)
+    return {d: np.broadcast_to(c, shape).astype(complex).ravel() for d, c in diagonals.items()}
 
 
 def _product(diagonals: dict[int, np.ndarray]):
@@ -145,16 +153,20 @@ def _initial_state(dim: int, theta: float) -> np.ndarray:
     return state.ravel()
 
 
-def _shift(generator: dict[int, np.ndarray]):
-    """The trace shift mu, the diagonals of L - mu I, and its exact 1-norm:
-    the largest column sum of the shifted |c_d|, each column summed in row
-    order.  mu is the mean of the 0-diagonal over R's leading N x N block
-    (arm A), the real -gamma (N - 1) / 2, summed exactly so that no
-    rounding of the sum moves it."""
+def _shift(generator: dict[int, np.ndarray], blocks: int):
+    """The trace shifts mu (one for each of the ``blocks`` equal blocks), the
+    diagonals of L - mu I, and its exact 1-norm: the largest column sum of
+    the shifted |c_d|, each column summed in row order, which is the largest
+    of the blocks' own norms.  A block's mu is the mean of its 0-diagonal
+    over R's leading N x N block (arm A), the real -gamma (N - 1) / 2,
+    summed exactly so that no rounding of the sum moves it.  mu is constant
+    on each block, so it commutes with the block-diagonal L and the shift
+    is exact."""
     n = generator[0].size
-    side = math.isqrt(n)
-    mu = math.fsum(generator[0].reshape(side, side)[:-1, :-1].real.ravel()) / (side - 1) ** 2
-    shifted = {**generator, 0: generator[0] - mu}
+    side = math.isqrt(n // blocks)
+    leading = generator[0].reshape(blocks, side, side)[:, :-1, :-1].real
+    mu = np.array([math.fsum(block.ravel()) for block in leading]) / (side - 1) ** 2
+    shifted = {**generator, 0: (generator[0].reshape(blocks, -1) - mu[:, None]).ravel()}
     column_sums = np.zeros(n)
     for d in sorted(shifted, reverse=True):
         a, b = max(0, -d), min(n, n - d)
@@ -194,15 +206,26 @@ def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
         stats["min_eigenvalue"] = min(stats.get("min_eigenvalue", np.inf), min_eig)
 
 
-def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | None):
-    """Yield the states at the times of ``taus`` chunk by chunk, each
-    chunk a fresh (rows, (N + 1)^2) array of state vectors R.ravel(), from
-    ``state`` at 0 under the generator L of (k, gamma), by truncated Taylor
-    series (algorithm 3.2 of Al-Mohy & Higham 2011) with dense output.
+def _scale_blocks(states: np.ndarray, factors: np.ndarray) -> None:
+    """Multiply, in place, block i of the joined state vector ``states``
+    (or of each of its rows) by ``factors[..., i]``: one scalar per block."""
+    blocks = states.reshape(*factors.shape, -1)
+    blocks *= factors[..., None]
 
-    The trace shift mu, the shifted diagonals and their 1-norm
-    (:func:`_shift`) are taken once, and so are one buffer for the terms of
-    a substep and one for the magnitudes behind each ||x||_inf.  Each chunk holds the times that one substep serves from the
+
+def _snapshots(pairs, taus, state: np.ndarray, stats: dict | None):
+    """Yield the states at the times of ``taus`` chunk by chunk, each
+    chunk a fresh (rows, B (N + 1)^2) array of joined state vectors
+    [R_1.ravel(), ..., R_B.ravel()], from ``state`` at 0 under the
+    block-diagonal generator L whose block i is that of the (k, gamma) of
+    ``pairs[i]`` (:func:`_block_generator`), by truncated Taylor series
+    (algorithm 3.2 of Al-Mohy & Higham 2011, run on the block of vectors at
+    once) with dense output.
+
+    The trace shifts mu, one per block, the shifted diagonals and their
+    1-norm (:func:`_shift`) are taken once, and so are one buffer for the
+    terms of a substep and one for the magnitudes behind each ||x||_inf.
+    Each chunk holds the times that one substep serves from the
     last snapshot, at c: every following t with (t - c) ||L - mu I||_1 <=
     theta_55 (at least one, so a longer gap is a chunk of its own).  Its
     last offset, the span, takes s = ceil(span ||L - mu I||_1 / theta_55)
@@ -211,22 +234,26 @@ def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | No
     substep stores its terms (term 0 is its start) and adds them into a
     running sum, the state at its end.  After s - 1 plain substeps of h =
     span / s, one real product weights term j of the last substep by r^j,
-    r = 1 - (span - t) / h, for every offset t at once, and each row is
-    scaled by e^{mu r h}; the last row (r = 1) is then the running sum
-    itself, so the state that seeds the next chunk does not depend on the
-    other offsets.  The stopping test on the running sum alone ends each
-    series; as r^j <= 1, it bounds every other row too.  It takes
+    r = 1 - (span - t) / h, for every offset t at once, and each block of
+    each row is scaled by its e^{mu r h}; the last row (r = 1) is then the
+    running sum itself, so the state that seeds the next chunk does not
+    depend on the other offsets.  The stopping test on the running sum
+    (all blocks together, by ||.||_inf of the joined vector) alone ends
+    each series; as r^j <= 1, it bounds every other row too.  It takes
     ||sum||_inf only once the two last terms are below tolerance against
     the triangle bound of the sum (``_BOUND_SLACK``), restarted from each
-    ||sum||_inf taken: every decision is ||sum||_inf's.  The chunk then
-    passes :func:`_finalize` in place.
+    ||sum||_inf taken: every decision is ||sum||_inf's.  Every R of the
+    chunk then passes :func:`_finalize` in place.  With one block, every
+    product, sum and scale is the one-group evolution's, in its order.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("snapshot times must be finite")
     if taus.size and (np.any(np.diff(taus) < 0) or taus[0] < 0):
         raise ValueError("snapshot times must be non-decreasing and non-negative")
-    mu, shifted, norm = _shift(_block_generator(k, gamma, math.isqrt(state.size) - 1))
+    blocks = len(pairs)
+    dim = math.isqrt(state.size // blocks) - 1
+    mu, shifted, norm = _shift(_block_generator(pairs, dim), blocks)
     apply = _product(shifted)
     terms = np.empty((56, state.size), dtype=complex)  # rows touched only when used
     magnitudes = np.empty(state.size)  # |x| of each infinity norm the stopping test takes
@@ -260,7 +287,7 @@ def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | No
                     break
                 c1 = c2
             state = total
-            state *= np.exp(span * mu / s)
+            _scale_blocks(state, np.exp(span * mu / s))
         h = span / s
         r = 1 - (span - offsets) / h if h else np.ones(size)
         # Real weights scale real and imaginary parts alike.  The product forms
@@ -268,12 +295,12 @@ def _snapshots(k: float, gamma: float, taus, state: np.ndarray, stats: dict | No
         # product, which sums each row in term order (a vector-matrix one
         # groups the terms and moves the rows by more rounding).
         chunk = (r[:, None] ** np.arange(used) @ terms[:used].view(float)).view(complex)
-        chunk *= np.exp(r * span * mu / s)[:, None]
+        _scale_blocks(chunk, np.exp((r * span)[:, None] * mu / s))
         chunk[-1] = state
         if stats is not None:
             stats["generator_applications"] = stats.get("generator_applications", 0) + applications
             stats["taylor_substeps"] = stats.get("taylor_substeps", 0) + int(substeps)
-        _finalize(chunk, stats)
+        _finalize(chunk.reshape(size * blocks, -1), stats)
         yield chunk
         state, current, start = chunk[-1], taus[start + size - 1], start + size
 
@@ -297,7 +324,8 @@ def integrate_snapshots(
     """
     config = config or IntegratorConfig()
     state = _initial_state(config.fock_dim, params.theta)
-    return [rho for chunk in _snapshots(params.k, params.gamma, taus, state, stats) for rho in _joint(chunk)]
+    return [rho for chunk in _snapshots([(params.k, params.gamma)], taus, state, stats)
+            for rho in _joint(chunk)]
 
 
 def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0.0):
@@ -315,16 +343,18 @@ def postselect_density(rho: np.ndarray, dark_port: bool = True, theta: float = 0
     return mirror, np.trace(mirror).real
 
 
-def _dark_port_kernels(thetas, dim: int) -> np.ndarray:
-    """The ((N + 1)^2, 3 len(thetas)) matrix whose column 3 i + j turns a
-    state vector R.ravel() into tr(M_theta O_j), for theta = thetas[i] and
-    O_j = I, x, p, M_theta being the unnormalized dark-port mirror state of
-    :func:`postselect_density`.
+def _dark_port_kernels(thetas, blocks, dim: int) -> np.ndarray:
+    """The (B (N + 1)^2, 3 len(thetas)) matrix whose column 3 i + j turns a
+    joined state vector [R_1.ravel(), ..., R_B.ravel()] into tr(M_theta
+    O_j) of block b = blocks[i] (B = max(blocks) + 1), for
+    theta = thetas[i] and O_j = I, x, p, M_theta being the unnormalized
+    dark-port mirror state of :func:`postselect_density`.
 
     M_theta = Q R Q^dag / 2 with Q = [I_N | -e^{-i theta} e_0], so
     tr(M_theta O) = tr(R K) with K = Q^dag O Q / 2, and the column is
-    K^T.ravel().  K's corner O[0, 0] / 2 is written as it is, not as
-    |e^{-i theta}|^2 times it, so BB enters with the exact weight 1.
+    K^T.ravel() on block b's rows, zero on the others.  K's corner O[0, 0]
+    / 2 is written as it is, not as |e^{-i theta}|^2 times it, so BB enters
+    with the exact weight 1.
     """
     operators = np.stack([np.eye(dim), position_quadrature(dim), momentum_quadrature(dim)])
     phases = -np.exp(-1j * np.asarray(thetas, dtype=float))[:, None, None]
@@ -333,7 +363,9 @@ def _dark_port_kernels(thetas, dim: int) -> np.ndarray:
     kernels[..., :dim, dim] = phases * operators[..., 0]
     kernels[..., dim, :dim] = phases.conj() * operators[..., 0, :]
     kernels[..., dim, dim] = operators[..., 0, 0]
-    return (kernels.swapaxes(-1, -2) / 2).reshape(-1, (dim + 1) ** 2).T
+    joined = np.zeros((len(phases), 3, max(blocks) + 1, dim + 1, dim + 1), dtype=complex)
+    joined[np.arange(len(phases)), :, blocks] = kernels.swapaxes(-1, -2) / 2
+    return joined.reshape(3 * len(phases), -1).T
 
 
 def oracle_sweeps(
@@ -342,29 +374,31 @@ def oracle_sweeps(
     config: IntegratorConfig | None = None,
     stats: dict | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Conditional q, p and dark-port probability for parameter sets that
-    share k and gamma, from one exact evolution.
+    """Conditional q, p and dark-port probability for any list of parameter
+    sets, from one exact evolution.
 
-    theta enters only at postselection, so the group evolves once from the
+    theta enters only at postselection, so each distinct (k, gamma) is one
+    block of the joined state vector, every block starting from the
     unshifted source: the truncated-Taylor propagator of :func:`_snapshots`
-    carries the state vector through the snapshot times chunk by chunk, and
-    one product of each chunk with the kernels of
-    :func:`_dark_port_kernels` gives every member's unnormalized
+    carries all blocks through the snapshot times together, chunk by
+    chunk, and one product of each chunk with the kernels of
+    :func:`_dark_port_kernels`, each member's columns placed on its own
+    block and zero elsewhere, gives every member's unnormalized
     probability and moments.  Returns one
     (q, p, prob) triple of arrays per member; times where the dark-port
     probability is at the floor give NaN observables instead of raising.
     """
     config = config or IntegratorConfig()
-    if len({(params.k, params.gamma) for params in group}) > 1:
-        raise ValueError("parameter sets evolved together must share k and gamma")
     if not group:
         return []
     taus = np.asarray(taus, dtype=float)
     dim = config.fock_dim
-    kernels = _dark_port_kernels([params.theta for params in group], dim)
+    pairs = list(dict.fromkeys((params.k, params.gamma) for params in group))
+    kernels = _dark_port_kernels([params.theta for params in group],
+                                 [pairs.index((params.k, params.gamma)) for params in group], dim)
     traces = np.empty((taus.size, kernels.shape[1]))
     start = 0
-    for chunk in _snapshots(group[0].k, group[0].gamma, taus, _initial_state(dim, 0.0), stats):
+    for chunk in _snapshots(pairs, taus, np.tile(_initial_state(dim, 0.0), len(pairs)), stats):
         traces[start:start + len(chunk)] = (chunk @ kernels).real
         start += len(chunk)
     traces = traces.T.reshape(len(group), 3, taus.size)

@@ -270,9 +270,12 @@ def verify(
 ) -> VerifyReport:
     """Compare closed forms against the master-equation oracle point by point.
 
-    The oracle evolves once per (k, gamma); every theta of that group is
-    postselected from the same snapshots.  Engine errors are recorded on
-    each parameter set they hit instead of aborting the report.  The
+    The oracle evolves the whole grid in one pass, each distinct (k, gamma)
+    one block of a block-diagonal generator; every theta is postselected
+    from its block's snapshots.  Points come in the grid's (k, gamma)
+    order, each group's parameter sets in their first order.  Engine
+    errors are recorded on each parameter set they hit instead of aborting
+    the report; an error of the oracle pass is recorded on every one.  The
     report passes only if it compared at least one point, recorded no
     error and every difference is below ``tolerance``, which must be finite
     and non-negative.  A grid entry whose observable is not "q" or "p"
@@ -285,39 +288,41 @@ def verify(
     taus = np.linspace(0.0, 4 * np.pi, 50) if taus is None else np.asarray(taus, float)
     grid = default_verify_grid() if grid is None else grid
 
-    # theta enters the oracle only at postselection: one evolution per (k, gamma)
+    # the observables of each parameter set, sets grouped by (k, gamma)
     groups: dict[tuple[float, float], dict[model.ModelParams, list[str]]] = {}
     for params, observable in grid:
         if observable not in ("q", "p"):
             raise ValueError(f"grid entry ({params!r}, {observable!r}): observable must be 'q' or 'p'")
         groups.setdefault((params.k, params.gamma), {}).setdefault(params, []).append(observable)
+    members = {params: observables
+               for group in groups.values() for params, observables in group.items()}
 
+    # theta enters the oracle only at postselection: one evolution for every set
+    try:
+        oracle = lindblad.oracle_sweeps(list(members), taus, config, stats=stats)
+    except Exception as exc:  # recorded on every parameter set below, not fatal
+        oracle = [exc] * len(members)
     points: list[dict] = []
-    for members in groups.values():
+    for (params, observables), sampled in zip(members.items(), oracle):
+        base = {"k": params.k, "gamma": params.gamma, "theta": params.theta}
         try:
-            oracle = lindblad.oracle_sweeps(list(members), taus, config, stats=stats)
-        except Exception as exc:  # recorded on every member below, not fatal
-            oracle = [exc] * len(members)
-        for (params, observables), sampled in zip(members.items(), oracle):
-            base = {"k": params.k, "gamma": params.gamma, "theta": params.theta}
-            try:
-                if isinstance(sampled, Exception):
-                    raise sampled
-                analytic = model.conditioned_moments(params, taus)
-            except Exception as exc:  # recorded, not fatal
-                points.append({**base, "observable": "/".join(observables), "error": str(exc)})
+            if isinstance(sampled, Exception):
+                raise sampled
+            analytic = model.conditioned_moments(params, taus)
+        except Exception as exc:  # recorded, not fatal
+            points.append({**base, "observable": "/".join(observables), "error": str(exc)})
+            continue
+        live = analytic[2] > SUCCESS_FLOOR
+        for obs, a_vals, o_vals in zip("qp", analytic, sampled):
+            if obs not in observables:
                 continue
-            live = analytic[2] > SUCCESS_FLOOR
-            for obs, a_vals, o_vals in zip("qp", analytic, sampled):
-                if obs not in observables:
-                    continue
-                a_vals, o_vals = a_vals[live], o_vals[live]
-                columns = (taus[live], a_vals, o_vals, np.abs(a_vals - o_vals))
-                points.extend(
-                    {**base, "observable": obs, "tau": tau, "analytic": a, "oracle": o,
-                     "abs_diff": d}
-                    for tau, a, o, d in zip(*(column.tolist() for column in columns))
-                )
+            a_vals, o_vals = a_vals[live], o_vals[live]
+            columns = (taus[live], a_vals, o_vals, np.abs(a_vals - o_vals))
+            points.extend(
+                {**base, "observable": obs, "tau": tau, "analytic": a, "oracle": o,
+                 "abs_diff": d}
+                for tau, a, o, d in zip(*(column.tolist() for column in columns))
+            )
 
     diffs = [point["abs_diff"] for point in points if "error" not in point]
     max_abs_diff = float(np.max(diffs)) if diffs else 0.0  # np.max keeps a NaN

@@ -287,6 +287,52 @@ class TestCliErrors:
         assert "RuntimeWarning" not in err
 
 
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--engine", "both", "--out", "."],
+        ["sweep", "--engine", "both", "--out", "s.csv", "--plot", "nodir/s.svg"],
+        ["sweep", "--out", "s.csv", "--plot", "."],
+        ["verify", "--out", "nodir/r.json"],
+        ["wigner", "--out", "."],
+        ["figure", "fig2", "--out-dir", "file"],
+    ], ids=["sweep-both-out-directory", "sweep-plot-missing-parent", "sweep-plot-directory",
+            "verify-missing-parent", "wigner-directory", "figure-dir-is-a-file"])
+    def test_outputs_are_claimed_before_any_engine_runs(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+
+        def never(*args, **kwargs):
+            raise AssertionError("an engine ran before every output was claimed")
+
+        for module, name in ((sweeps, "run_sweep"), (sweeps, "verify"), (sweeps, "figure"),
+                             (fockspace, "wigner")):
+            monkeypatch.setattr(module, name, never)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(args)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_unwritable_plot_leaves_no_table_behind(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["sweep", "--engine", "both", "--tau-end", 1, "--steps", 3, "--fock-dim", 8,
+                     "--out", "s.csv", "--plot", "nodir/s.svg"])
+        assert exit_info.value.code == 2
+        assert "cannot write sweep plot to nodir/s.svg: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_claimed_outputs_keep_their_bytes(self, tmp_path, monkeypatch):
+        # an existing output is opened for appending only, then written whole
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--engine", "both", "--tau-end", 1, "--steps", 3, "--fock-dim", 8,
+                "--out", "s.csv", "--plot", "s.svg"]
+        run_cli(argv)
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(first) == ["s.csv", "s.oracle.csv", "s.svg"]
+        run_cli(argv)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
 def test_module_invocation(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "optoweak", "figure", "fig4", "--out-dir", str(tmp_path)],

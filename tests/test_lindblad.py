@@ -69,7 +69,7 @@ def random_invariant_state(seed, dim=8):
 def block_rhs(k, gamma, rho):
     """d rho / d tau of a Hermitian rho in the invariant set through the
     package's generator, reassembled with BA = AB^dag."""
-    return _joint(_product(_block_generator(k, gamma, rho.shape[0] // 2))(oracle_state(rho))[None])[0]
+    return _joint(_product(_block_generator([(k, gamma)], rho.shape[0] // 2))(oracle_state(rho))[None])[0]
 
 
 def expm_multiply_reference(generator):
@@ -89,7 +89,7 @@ def in_loop_advance(generator, v, offsets):
     ``_snapshots``: each term enters every offset's partial sum, weighted by
     r^j, right after its product, and the stopping test takes ||sum||_inf
     after every product."""
-    mu, shifted, norm = _shift(generator)
+    (mu,), shifted, norm = _shift(generator, 1)
     apply = _product(shifted)
     span = offsets[-1]
     assert span * norm <= _THETA_55
@@ -106,6 +106,19 @@ def in_loop_advance(generator, v, offsets):
             break
         c1 = c2
     return sums * np.exp(r * span * mu)[:, None]
+
+
+def trace_difference(sampled, reference):
+    """The largest |Delta P|, |Delta (P q)| and |Delta (P p)| between two
+    oracle triples (q, p, P): the dark-port traces before the division by P,
+    which turns a rounding of a small P into a large change of q.  Both
+    triples must mask the same points."""
+    (q, pmom, prob), (q1, p1, prob1) = sampled, reference
+    worst = np.max(np.abs(prob - prob1))
+    for moment, single in ((q, q1), (pmom, p1)):
+        assert np.array_equal(np.isnan(moment), np.isnan(single))
+        worst = max(worst, np.nanmax(np.abs(prob * moment - prob1 * single), initial=0.0))
+    return worst
 
 
 def analytic_joint_density(params, tau, dim):
@@ -174,8 +187,8 @@ class TestGenerator:
     @pytest.mark.parametrize("dim", [8, 16])
     @pytest.mark.parametrize("k, gamma", [(K, 0.0), (0.2, 0.3)])
     def test_trace_shift_and_norm_match_the_dense_liouvillian(self, dim, k, gamma):
-        generator = _block_generator(k, gamma, dim)
-        mu, _, norm = _shift(generator)
+        generator = _block_generator([(k, gamma)], dim)
+        (mu,), _, norm = _shift(generator, 1)
         liouvillian = dr.liouvillian(k, gamma, dim)
         # positions in the joint rho's row-major vec of the state vector's entries
         vec_index = np.arange(4 * dim * dim).reshape(2 * dim, 2 * dim)
@@ -379,7 +392,7 @@ class TestPostselectDensity:
 
         operators = [np.eye(16), position_quadrature(16), momentum_quadrature(16)]
         thetas = [0.0, 0.001, -0.001, 0.3, np.pi]
-        kernels = _dark_port_kernels(thetas, 16)
+        kernels = _dark_port_kernels(thetas, [0] * len(thetas), 16)
         assert kernels.shape == (17 * 17, len(thetas) * len(operators))
         for gamma in (0.0, 0.005):
             snapshots = integrate_snapshots(ModelParams(k=K, gamma=gamma), VERIFY_TAUS)
@@ -456,52 +469,67 @@ class TestOracleObservables:
         for shared, params in zip(oracle_sweeps(group, taus), group):
             for a, b in zip(shared, oracle_sweep(params, taus)):
                 assert np.array_equal(a, b)
-        with pytest.raises(ValueError, match="share k and gamma"):
-            oracle_sweeps([ModelParams(k=K), ModelParams(k=K, gamma=0.005)], taus)
+        # members of other (k, gamma) evolve in the same pass, each on its own
+        # block, whatever the order of the groups in the list
+        interleaved = [ModelParams(k=K), ModelParams(k=K, gamma=0.005), ModelParams(k=K, theta=0.001)]
+        for shared, params in zip(oracle_sweeps(interleaved, taus), interleaved, strict=True):
+            assert trace_difference(shared, oracle_sweep(params, taus)) <= 1e-15, params
         assert oracle_sweeps([], taus) == []
+
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_one_pass_over_a_mixed_grid_equals_one_sweep_per_member(self, dim):
+        # the default verify sets (two (k, gamma) groups) and a third group whose
+        # norm sets every substep of the joined pass: each member's P, P q and
+        # P p stay within 1e-15 of its own evolution's (1.2e-16 seen)
+        group = [ModelParams(k=K, gamma=gamma, theta=theta)
+                 for gamma in (0.0, 0.005) for theta in (0.0, 0.001, -0.001)]
+        group.append(ModelParams(k=0.25, gamma=0.05, theta=0.3))
+        config = IntegratorConfig(fock_dim=dim)
+        for params, shared in zip(group, oracle_sweeps(group, VERIFY_TAUS, config), strict=True):
+            assert trace_difference(shared, oracle_sweep(params, VERIFY_TAUS, config)) <= 1e-15, params
 
 
 class TestTaylorPropagator:
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
     def test_matches_expm_multiply(self, dim, k, gamma):
-        reference = expm_multiply_reference(_block_generator(k, gamma, dim))
+        reference = expm_multiply_reference(_block_generator([(k, gamma)], dim))
         v = _initial_state(dim, 0.3)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
-            (state,), = _snapshots(k, gamma, [span], v, None)   # one chunk of one row
+            (state,), = _snapshots([(k, gamma)], [span], v, None)   # one chunk of one row
             assert np.max(np.abs(state - reference(span, v))) <= 1e-13, span
 
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
     def test_dense_output_matches_one_offset_calls(self, dim, k, gamma):
-        generator = _block_generator(k, gamma, dim)
+        generator = _block_generator([(k, gamma)], dim)
         reference = expm_multiply_reference(generator)
         v = _initial_state(dim, 0.3)
-        _, _, norm = _shift(generator)
+        _, _, norm = _shift(generator, 1)
         reach = _THETA_55 / norm          # the longest span of one degree-55 substep
         while reach * norm > _THETA_55:
             reach = np.nextafter(reach, 0)
         offsets = np.array([0.0, 0.3 * reach, 0.3 * reach, 0.71 * reach, reach])
-        dense, = _snapshots(k, gamma, offsets, v, None)   # every offset within one substep's reach
+        dense, = _snapshots([(k, gamma)], offsets, v, None)   # every offset within one substep's reach
         assert dense.shape == (offsets.size, v.size)
         assert np.array_equal(dense[0], v) and np.array_equal(dense[1], dense[2])
         for t, state in zip(offsets, dense):
-            (single,), = _snapshots(k, gamma, [t], v, None)
+            (single,), = _snapshots([(k, gamma)], [t], v, None)
             assert np.max(np.abs(state - single)) <= 1e-15, t
             assert np.max(np.abs(state - reference(t, v))) <= 1e-13, t
 
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.005), (0.25, 0.05)])
     def test_dense_rows_match_in_loop_accumulation(self, dim, k, gamma):
-        generator = _block_generator(k, gamma, dim)
+        generator = _block_generator([(k, gamma)], dim)
         v = _initial_state(dim, 0.3)
-        _, _, norm = _shift(generator)
+        _, _, norm = _shift(generator, 1)
         reach = _THETA_55 / norm
         while reach * norm > _THETA_55:
             reach = np.nextafter(reach, 0)
         offsets = np.linspace(0, reach, 21)
-        (rows,), reference = _snapshots(k, gamma, offsets, v, None), in_loop_advance(generator, v, offsets)
+        (rows,), reference = _snapshots([(k, gamma)], offsets, v, None), in_loop_advance(generator, v, offsets)
         _finalize(reference, None)                        # the symmetrization every chunk passes
         assert np.array_equal(rows[-1], reference[-1])   # the running sum seeds the next chunk
         assert np.max(np.abs(rows - reference)) <= 1e-15
@@ -537,7 +565,7 @@ class TestTaylorPropagator:
         # = 9.4 and 19.5: 10 + 20 substeps; a repeated time adds none
         p = ModelParams(k=0.01, gamma=0.01, theta=0.001)
         config = IntegratorConfig(fock_dim=16)
-        _, _, norm = _shift(_block_generator(p.k, p.gamma, config.fock_dim))
+        _, _, norm = _shift(_block_generator([(p.k, p.gamma)], config.fock_dim), 1)
         for taus in ([6.2, 19.0], [6.2, 6.2, 19.0]):
             stats = {}
             q, pmom, prob = oracle_sweep(p, taus, config, stats)

@@ -622,7 +622,7 @@ class TestVerify:
         assert len(report.points) == 8
         assert [args[0] for args in calls] == [undamped, damped]
 
-    def test_one_oracle_evolution_per_k_gamma(self, monkeypatch):
+    def test_one_oracle_evolution_per_verify(self, monkeypatch):
         oracle_sweeps = lindblad.oracle_sweeps
         groups = []
 
@@ -634,8 +634,17 @@ class TestVerify:
         report = verify(config=IntegratorConfig(fock_dim=12), taus=np.linspace(0.5, 1.0, 2))
         assert report.passed
         assert len(report.points) == 24
-        assert groups == [[(gamma, 0.0), (gamma, 0.001), (gamma, -0.001)]
-                          for gamma in (0.0, 0.005)]
+        # the whole grid in one pass, group-major, as the report lists its points
+        assert groups == [[(gamma, theta) for gamma in (0.0, 0.005) for theta in (0.0, 0.001, -0.001)]]
+        assert [(point["gamma"], point["theta"]) for point in report.points[::4]] == groups[0]
+
+    @pytest.mark.parametrize("dim, applications, substeps", [(16, 397, 25), (32, 666, 49)])
+    def test_generator_applications_of_the_default_grid(self, dim, applications, substeps):
+        # one pass for both (k, gamma) groups: 794 products in 50 substeps at
+        # Fock 16 and 1330 in 98 at Fock 32 with one evolution per group
+        stats = {}
+        verify(config=IntegratorConfig(fock_dim=dim), stats=stats)
+        assert (stats["generator_applications"], stats["taylor_substeps"]) == (applications, substeps)
 
     def test_zero_tolerance_fails(self):
         report = verify(
@@ -672,6 +681,31 @@ class TestVerify:
         )
         assert report.points == [{"k": K, "gamma": 0.005, "theta": 0.0,
                                   "observable": "p/q", "error": "trace drifted"}]
+        assert report.max_abs_diff == 0.0
+        assert not report.passed
+
+    def test_engine_errors_recorded_per_point_of_two_groups(self, monkeypatch):
+        # the one oracle pass fails: its error lands on every parameter set,
+        # in the grid's group-major order
+        calls = []
+
+        def unstable(group, *args, **kwargs):
+            calls.append(group)
+            raise StepUnstable("trace drifted")
+
+        monkeypatch.setattr(lindblad, "oracle_sweeps", unstable)
+        damped, undamped = ModelParams(k=K, gamma=0.005), ModelParams(k=K, theta=0.001)
+        report = verify(
+            grid=[(damped, "p"), (undamped, "q"), (damped, "q")],
+            tolerance=1e-5,
+            config=IntegratorConfig(dt=5e-3, fock_dim=12),
+            taus=np.linspace(0.5, 1.0, 2),
+        )
+        assert calls == [[damped, undamped]]
+        assert report.points == [
+            {"k": K, "gamma": 0.005, "theta": 0.0, "observable": "p/q", "error": "trace drifted"},
+            {"k": K, "gamma": 0.0, "theta": 0.001, "observable": "q", "error": "trace drifted"},
+        ]
         assert report.max_abs_diff == 0.0
         assert not report.passed
 
