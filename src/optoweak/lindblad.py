@@ -190,15 +190,16 @@ def _finalize(chunk: np.ndarray, stats: dict | None) -> None:
     zeros)."""
     side = math.isqrt(chunk.shape[1])
     states = chunk.reshape(-1, side, side)                        # a view: symmetrized in place
-    adjoint = states.conj().swapaxes(-1, -2)
+    adjoint = np.conj(states.swapaxes(-1, -2), order="C")         # contiguous, read in order below
     deviations = np.abs(states - adjoint).max(axis=(1, 2))
     drifts = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
-    for deviation, trace_drift in zip(deviations, drifts):
+    for deviation, trace_drift in zip(deviations.tolist(), drifts.tolist()):
         if deviation > _HERMITICITY_LIMIT:
             raise StepUnstable(f"Hermiticity deviation {deviation:.3e} before symmetrization")
         if trace_drift > _TRACE_DRIFT_LIMIT:
             raise StepUnstable(f"trace drifted by {trace_drift:.3e}")
-    np.multiply(states + adjoint, 0.5, out=states)
+    states += adjoint
+    states *= 0.5
     if stats is not None:
         stats["trace_drift"] = max(stats.get("trace_drift", 0.0), drifts.max())
         stats["hermiticity_dev"] = max(stats.get("hermiticity_dev", 0.0), deviations.max())
@@ -257,6 +258,7 @@ def _snapshots(pairs, taus, state: np.ndarray, stats: dict | None):
     apply = _product(shifted)
     terms = np.empty((56, state.size), dtype=complex)  # rows touched only when used
     magnitudes = np.empty(state.size)  # |x| of each infinity norm the stopping test takes
+    largest = np.maximum.reduce  # ndarray.max without its Python-level wrapper
     current, start = 0.0, 0
     while start < taus.size:
         offsets = taus[start:] - current
@@ -273,17 +275,17 @@ def _snapshots(pairs, taus, state: np.ndarray, stats: dict | None):
         for _ in range(s):
             term, total, used = state, state.copy(), 1
             terms[0] = state
-            c1 = bound = np.abs(state, out=magnitudes).max()
+            c1 = bound = largest(np.abs(state, out=magnitudes))
             for j in range(m):
                 term = np.multiply(span / (s * (j + 1)), apply(term), out=terms[j + 1])
                 applications += 1
                 used = j + 2
-                c2 = np.abs(term, out=magnitudes).max()
+                c2 = largest(np.abs(term, out=magnitudes))
                 total += term
                 bound += c2
                 # two terms below tolerance against B >= ||total||_inf, then against ||total||_inf
                 if (c1 + c2 <= _TAYLOR_TOL * (bound * _BOUND_SLACK)
-                        and c1 + c2 <= _TAYLOR_TOL * (bound := np.abs(total, out=magnitudes).max())):
+                        and c1 + c2 <= _TAYLOR_TOL * (bound := largest(np.abs(total, out=magnitudes)))):
                     break
                 c1 = c2
             state = total

@@ -286,7 +286,6 @@ class TestCliErrors:
         assert "Traceback" not in err
         assert "RuntimeWarning" not in err
 
-
     @pytest.mark.parametrize("args", [
         ["sweep", "--engine", "both", "--out", "."],
         ["sweep", "--engine", "both", "--out", "s.csv", "--plot", "nodir/s.svg"],
@@ -332,6 +331,7 @@ class TestCliErrors:
         assert sorted(first) == ["s.csv", "s.oracle.csv", "s.svg"]
         run_cli(argv)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
 
 def test_module_invocation(tmp_path):
     result = subprocess.run(
