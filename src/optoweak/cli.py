@@ -129,10 +129,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.plot:
         _claim("sweep plot", args.plot)
     results = sweeps.run_sweep(config, integrator)
+    # the plot first: one with nothing to draw fails before any table is written
+    plot = [sweeps.emit_plot(results[0], args.plot)] if args.plot else []
     written = [sweeps.emit_csv(result, path) for result, path in zip(results, tables, strict=True)]
-    if args.plot:
-        written.append(sweeps.emit_plot(results[0], args.plot))
-    for p in written:
+    for p in written + plot:
         print(f"wrote {p}")
     return 0
 

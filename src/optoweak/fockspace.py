@@ -42,6 +42,8 @@ def named_state(name: str, dim: int) -> np.ndarray:
     """Mirror ket |0>, |1> or (|0> -+ |1>)/sqrt(2), by its name in NAMED_STATES."""
     if name not in NAMED_STATES:
         raise ValueError(f"unknown state {name!r}; choose from {NAMED_STATES}")
+    if dim < 2:
+        raise ValueError("Fock dimension must be at least 2")
     state = np.zeros(dim, dtype=complex)
     if name == "vacuum":
         state[0] = 1.0

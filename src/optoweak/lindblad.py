@@ -140,17 +140,13 @@ def _product(diagonals: dict[int, np.ndarray]):
     return apply
 
 
-def _initial_state(dim: int, theta: float) -> np.ndarray:
-    """R.ravel() of |psi><psi|, the photon split over both arms (arm-A
-    phase e^{i theta}) and the mirror in vacuum: psi = a e_0 + b e_N on S
-    with a = e^{i theta} / sqrt(2) and b = 1 / sqrt(2).  R[0, 0] = a a*
-    keeps only its real part, as the Hermitian part of |psi><psi| does (the
-    product rounds to an imaginary part of about 1e-17 at theta != 0)."""
+def _initial_state(dim: int) -> np.ndarray:
+    """R.ravel() of |psi><psi|, the photon split over both arms and the
+    mirror in vacuum: psi = (e_0 + e_N) / sqrt(2) on S.  The phase shifter
+    is not here: it enters at postselection."""
     psi = np.zeros(dim + 1, dtype=complex)
-    psi[[0, -1]] = np.exp(1j * theta) / np.sqrt(2), 1 / np.sqrt(2)
-    state = np.outer(psi, psi.conj())
-    state[0, 0] = state[0, 0].real
-    return state.ravel()
+    psi[[0, -1]] = 1 / np.sqrt(2)
+    return np.outer(psi, psi.conj()).ravel()
 
 
 def _shift(generator: dict[int, np.ndarray], blocks: int):
@@ -317,15 +313,17 @@ def integrate_snapshots(
     non-decreasing, non-negative), from one exact forward pass: the
     snapshots :func:`oracle_sweep` postselects.
 
-    The evolution starts from the split photon (with the configured theta at
-    the source) and the mirror in vacuum.  Every snapshot is symmetrized
+    The evolution starts from the split photon and the mirror in vacuum.
+    The snapshots do not depend on ``params.theta``: the phase shifter
+    enters through ``postselect_density(rho, theta=...)``, as it enters
+    :func:`oracle_sweeps` through its kernels.  Every snapshot is symmetrized
     once its Hermiticity drift is asserted below 1e-9.  A ``stats`` dict
     collects the worst trace drift, Hermiticity deviation and minimum
     eigenvalue seen, and the numbers of generator applications
     (``generator_applications``) and Taylor substeps (``taylor_substeps``).
     """
     config = config or IntegratorConfig()
-    state = _initial_state(config.fock_dim, params.theta)
+    state = _initial_state(config.fock_dim)
     return [rho for chunk in _snapshots([(params.k, params.gamma)], taus, state, stats)
             for rho in _joint(chunk)]
 
@@ -400,7 +398,7 @@ def oracle_sweeps(
                                  [pairs.index((params.k, params.gamma)) for params in group], dim)
     traces = np.empty((taus.size, kernels.shape[1]))
     start = 0
-    for chunk in _snapshots(pairs, taus, np.tile(_initial_state(dim, 0.0), len(pairs)), stats):
+    for chunk in _snapshots(pairs, taus, np.tile(_initial_state(dim), len(pairs)), stats):
         traces[start:start + len(chunk)] = (chunk @ kernels).real
         start += len(chunk)
     traces = traces.T.reshape(len(group), 3, taus.size)

@@ -270,10 +270,9 @@ def verify(
 ) -> VerifyReport:
     """Compare closed forms against the master-equation oracle point by point.
 
-    The oracle evolves the whole grid in one pass, each distinct (k, gamma)
-    one block of a block-diagonal generator; every theta is postselected
-    from its block's snapshots.  Points come in the grid's (k, gamma)
-    order, each group's parameter sets in their first order.  Engine
+    The oracle evolves the whole grid in one pass
+    (:func:`lindblad.oracle_sweeps`).  Points come in grid order: the
+    parameter sets in the order the grid first names them.  Engine
     errors are recorded on each parameter set they hit instead of aborting
     the report; an error of the oracle pass is recorded on every one.  The
     report passes only if it compared at least one point, recorded no
@@ -288,16 +287,13 @@ def verify(
     taus = np.linspace(0.0, 4 * np.pi, 50) if taus is None else np.asarray(taus, float)
     grid = default_verify_grid() if grid is None else grid
 
-    # the observables of each parameter set, sets grouped by (k, gamma)
-    groups: dict[tuple[float, float], dict[model.ModelParams, list[str]]] = {}
+    # the observables of each parameter set, in grid order
+    members: dict[model.ModelParams, list[str]] = {}
     for params, observable in grid:
         if observable not in ("q", "p"):
             raise ValueError(f"grid entry ({params!r}, {observable!r}): observable must be 'q' or 'p'")
-        groups.setdefault((params.k, params.gamma), {}).setdefault(params, []).append(observable)
-    members = {params: observables
-               for group in groups.values() for params, observables in group.items()}
+        members.setdefault(params, []).append(observable)
 
-    # theta enters the oracle only at postselection: one evolution for every set
     try:
         oracle = lindblad.oracle_sweeps(list(members), taus, config, stats=stats)
     except Exception as exc:  # recorded on every parameter set below, not fatal

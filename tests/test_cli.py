@@ -321,6 +321,19 @@ class TestCliErrors:
         assert "cannot write sweep plot to nodir/s.svg: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("engine", ["analytic", "both"])
+    def test_nothing_to_plot_leaves_no_table_behind(self, tmp_path, monkeypatch, capsys, engine):
+        # by tau = 1e-9 the dark port has not fired: every sample is masked
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["sweep", "--engine", engine, "--tau-end", 1e-9, "--steps", 3, "--fock-dim", 8,
+                     "--plot", "p.svg", "--out", "s.csv"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "nothing to plot: all samples are undefined" in captured.err
+        assert "wrote" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
     def test_claimed_outputs_keep_their_bytes(self, tmp_path, monkeypatch):
         # an existing output is opened for appending only, then written whole
         monkeypatch.chdir(tmp_path)

@@ -324,6 +324,12 @@ class TestNamedState:
         with pytest.raises(ValueError, match="unknown state"):
             named_state("cat", 6)
 
+    @pytest.mark.parametrize("name", list(AMPLITUDES))
+    def test_dimension_below_two_rejected(self, name):
+        # annihilation_matrix's message, whatever the name
+        with pytest.raises(ValueError, match="Fock dimension must be at least 2"):
+            named_state(name, 1)
+
 
 def full_grid_wigner(state, x_range, y_range) -> np.ndarray:
     """W(x, y) from the eigensystem of the displacement generator in a Fock space

@@ -109,3 +109,25 @@ def test_import_loads_only_what_the_module_imports(module):
     loaded = {name.partition(".")[2] for name in result.stdout.split()}
     assert loaded == LOADED[module]
     assert "svgplot" not in loaded
+
+
+def test_benchmark_tracer_wraps_existing_names(tmp_path):
+    # the tracer looks each wrapped name up without a default, so a renamed
+    # public function would otherwise surface only in a traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), str(root / "optobench"),
+                                         os.environ.get("PYTHONPATH")]))
+    script = ("import sys, tracer\n"
+              "from optoweak import cli\n"
+              "t = tracer.Tracer()\n"
+              "tracer.install(t)\n"
+              "code = cli.main(['sweep', '--engine', 'both', '--steps', '3', '--fock-dim', '8',\n"
+              "                 '--tau-end', '1', '--out', sys.argv[1], '--plot', sys.argv[2]])\n"
+              "print(code, len(t.spans), sum(span.error for span in t.spans))\n")
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}  # optobench/ stays as it is
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.csv"),
+                             str(tmp_path / "s.svg")], capture_output=True, text=True,
+                            timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    code, spans, errors = map(int, result.stdout.split()[-3:])
+    assert (code, errors) == (0, 0) and spans > 0

@@ -57,6 +57,22 @@ def oracle_state(rho):
     return rho[:dim + 1, :dim + 1].ravel()
 
 
+def shifted_source(dim, theta):
+    """The oracle state vector of the split photon with the phase shifter
+    at the source: the Hermitian part of the dense reference's, complex
+    where the oracle's own start is real."""
+    rho = dr.initial_density(dim, theta)
+    return oracle_state((rho + rho.conj().T) / 2)
+
+
+def shift_arm_a(rho, theta):
+    """The joint state with e^{i theta} applied to arm A: the shifter moved
+    from postselection to the source, where it commutes with the flow."""
+    dim = rho.shape[0] // 2
+    phase = np.repeat([np.exp(1j * theta), 1.0], dim)
+    return phase[:, None] * rho * phase.conj()
+
+
 def random_invariant_state(seed, dim=8):
     """A random Hermitian 2N x 2N matrix in the oracle's invariant set: zero
     outside its first N + 1 rows and columns."""
@@ -250,7 +266,7 @@ class TestIntegrate:
 
     def test_damped_matches_analytic_joint_density(self):
         p = ModelParams(k=K, gamma=0.005, theta=0.001)
-        rho = integrate_snapshots(p, [4.0], IntegratorConfig(dt=1e-3, fock_dim=16))[0]
+        rho = shift_arm_a(integrate_snapshots(p, [4.0], IntegratorConfig(dt=1e-3, fock_dim=16))[0], p.theta)
         assert np.max(np.abs(rho - analytic_joint_density(p, 4.0, 16))) < 1e-9
 
     def test_vacuum_is_a_damping_fixed_point(self):
@@ -274,14 +290,22 @@ class TestIntegrate:
     @pytest.mark.parametrize("dim", [8, 16, 32])
     @pytest.mark.parametrize("theta", [0.0, 0.3, -0.001, np.pi])
     def test_initial_state_is_the_split_photon(self, dim, theta):
-        # exactly the Hermitian part of |psi><psi|, whose a a* rounds to an
-        # imaginary part of about 1e-17 at theta != 0
-        rho = dr.initial_density(dim, theta)
-        hermitian = (rho + rho.conj().T) / 2
-        assert np.max(np.abs(rho - hermitian)) <= 1e-17
-        assert np.array_equal(_initial_state(dim, theta), oracle_state(hermitian))
+        # the unshifted split photon at every theta; the shifter, applied at
+        # postselection, gives the dark port of the shifted source
+        rho = dr.initial_density(dim, 0.0)
+        assert np.array_equal(_initial_state(dim), oracle_state(rho))
         p = ModelParams(k=K, gamma=0.005, theta=theta)
-        assert np.array_equal(integrate_snapshots(p, [0.0], IntegratorConfig(fock_dim=dim))[0], hermitian)
+        start = integrate_snapshots(p, [0.0], IntegratorConfig(fock_dim=dim))[0]
+        assert np.array_equal(start, rho)
+        mirror, _ = postselect_density(start, theta=theta)
+        shifted, _ = postselect_density(dr.initial_density(dim, theta))
+        assert np.max(np.abs(mirror - shifted)) <= 1e-16
+
+    def test_snapshots_do_not_depend_on_theta(self):
+        taus = np.linspace(0, 4 * np.pi, 50)
+        shifted = integrate_snapshots(ModelParams(k=0.25, gamma=0.05, theta=0.3), taus)
+        plain = integrate_snapshots(ModelParams(k=0.25, gamma=0.05), taus)
+        assert np.array_equal(np.stack(shifted), np.stack(plain))
 
     @pytest.mark.parametrize("entry, message", [
         ((2, 1), "Hermiticity deviation 2.000e-06"),     # AA[0, 1] of the third snapshot
@@ -378,14 +402,17 @@ class TestPostselectDensity:
         _, prob = postselect_density(rho)
         assert prob == pytest.approx(1.2336508198497246e-8, rel=1e-5)
 
-    def test_shifter_at_source_equals_shifter_at_postselection(self):
-        cfg = IntegratorConfig(dt=1e-3, fock_dim=16)
-        at_source = integrate_snapshots(ModelParams(k=K, gamma=0.005, theta=0.001), [2.0], cfg)[0]
-        mirror_a, prob_a = postselect_density(at_source, theta=0.0)
-        plain = integrate_snapshots(ModelParams(k=K, gamma=0.005), [2.0], cfg)[0]
-        mirror_b, prob_b = postselect_density(plain, theta=0.001)
-        assert prob_a == pytest.approx(prob_b, abs=1e-12)
-        assert np.max(np.abs(mirror_a - mirror_b)) < 1e-12
+    def test_shifter_at_source_equals_shifter_at_postselection(self, dense_step_propagators):
+        # the dense reference evolves the shifted source; the oracle applies
+        # the shifter to the dark port only
+        count = 10
+        at_source = dr.evolve(dense_step_propagators[0.005], dr.initial_density(16, 0.001), count)
+        plain = integrate_snapshots(ModelParams(k=K, gamma=0.005), VERIFY_TAUS[:count])
+        for rho_a, rho_b in zip(at_source, plain, strict=True):
+            mirror_a, prob_a = postselect_density(rho_a)
+            mirror_b, prob_b = postselect_density(rho_b, theta=0.001)
+            assert prob_a == pytest.approx(prob_b, abs=1e-14)
+            assert np.max(np.abs(mirror_a - mirror_b)) <= 1e-14
 
     def test_dark_port_kernels_match_postselect_density(self):
         from optoweak.fockspace import momentum_quadrature, position_quadrature
@@ -494,7 +521,7 @@ class TestTaylorPropagator:
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.0), (0.25, 0.05)])
     def test_matches_expm_multiply(self, dim, k, gamma):
         reference = expm_multiply_reference(_block_generator([(k, gamma)], dim))
-        v = _initial_state(dim, 0.3)
+        v = shifted_source(dim, 0.3)
         # 4 pi and 40 take more than one substep (s > 1)
         for span in (0.0, 1e-9, 4 * np.pi / 199, 4 * np.pi / 49, 4 * np.pi, 40.0):
             (state,), = _snapshots([(k, gamma)], [span], v, None)   # one chunk of one row
@@ -505,7 +532,7 @@ class TestTaylorPropagator:
     def test_dense_output_matches_one_offset_calls(self, dim, k, gamma):
         generator = _block_generator([(k, gamma)], dim)
         reference = expm_multiply_reference(generator)
-        v = _initial_state(dim, 0.3)
+        v = shifted_source(dim, 0.3)
         _, _, norm = _shift(generator, 1)
         reach = _THETA_55 / norm          # the longest span of one degree-55 substep
         while reach * norm > _THETA_55:
@@ -523,7 +550,7 @@ class TestTaylorPropagator:
     @pytest.mark.parametrize("k, gamma", [(0.005, 0.005), (0.25, 0.05)])
     def test_dense_rows_match_in_loop_accumulation(self, dim, k, gamma):
         generator = _block_generator([(k, gamma)], dim)
-        v = _initial_state(dim, 0.3)
+        v = shifted_source(dim, 0.3)
         _, _, norm = _shift(generator, 1)
         reach = _THETA_55 / norm
         while reach * norm > _THETA_55:
